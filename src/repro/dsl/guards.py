@@ -68,10 +68,21 @@ class LocalView:
     works for non-identifier names (``view["j.REQ_k"]``).
     """
 
-    __slots__ = ("_vars",)
+    __slots__ = ("_vars", "_derived")
 
     def __init__(self, variables: Mapping[str, Any]):
         object.__setattr__(self, "_vars", dict(variables))
+        object.__setattr__(self, "_derived", {})
+
+    @classmethod
+    def adopt(cls, variables: dict[str, Any]) -> "LocalView":
+        """A view over ``variables`` itself, without the constructor's
+        defensive copy: the caller hands the dict over and must never
+        touch it again (the runtime's path, see ``ProcessRuntime.view``)."""
+        view = cls.__new__(cls)
+        object.__setattr__(view, "_vars", variables)
+        object.__setattr__(view, "_derived", {})
+        return view
 
     def __getattr__(self, name: str) -> Any:
         try:
@@ -91,6 +102,19 @@ class LocalView:
     def as_dict(self) -> dict[str, Any]:
         """A mutable copy of the viewed variables."""
         return dict(self._vars)
+
+    def derived(self, build: Callable[["LocalView"], Any]) -> Any:
+        """``build(self)``, computed once per view object.
+
+        A view never changes, so any pure function of it (the wrapper's
+        Lspec abstraction, say) may be shared by every guard and body that
+        is handed this view; the result dies with the view, so nothing
+        derived from one valuation can be read in another.
+        """
+        derived = self._derived
+        if build not in derived:
+            derived[build] = build(self)
+        return derived[build]
 
     def __repr__(self) -> str:
         return f"LocalView({self._vars!r})"

@@ -53,6 +53,16 @@ class ProcessProgram:
         names = [a.name for a in self.actions + self.receive_actions]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate action names in program {self.name!r}")
+        # Lookup indexes (not fields: no part of equality or repr).  The
+        # first handler registered for a kind wins, as a linear scan would.
+        object.__setattr__(
+            self, "_internal_by_name", {a.name: a for a in self.actions}
+        )
+        object.__setattr__(
+            self,
+            "_receive_by_kind",
+            {a.message_kind: a for a in reversed(self.receive_actions)},
+        )
 
     def variables(self) -> frozenset[str]:
         """The declared variable space (the corruptible state, Section 3.1)."""
@@ -84,12 +94,13 @@ class ProcessProgram:
                     "initial_vars"
                 )
 
+    def internal_action(self, name: str) -> GuardedAction | None:
+        """The internal action called ``name``, if any."""
+        return self._internal_by_name.get(name)
+
     def receive_action_for(self, kind: str) -> GuardedAction | None:
         """The receive handler registered for a message kind, if any."""
-        for act in self.receive_actions:
-            if act.message_kind == kind:
-                return act
-        return None
+        return self._receive_by_kind.get(kind)
 
     def action_names(self) -> tuple[str, ...]:
         """All action names (internal first, then receive)."""

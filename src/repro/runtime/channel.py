@@ -13,6 +13,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 
 from repro.runtime.messages import Message
+from repro.runtime.scheduler import DeliverStep
 
 
 class FifoChannel:
@@ -21,6 +22,8 @@ class FifoChannel:
     def __init__(self, src: str, dst: str):
         self.src = src
         self.dst = dst
+        #: The one candidate step this channel ever offers (shared by forks).
+        self.deliver_step = DeliverStep(src, dst)
         self._queue: deque[Message] = deque()
         self._shared = False
         self.total_enqueued = 0
@@ -85,6 +88,7 @@ class FifoChannel:
         clone = FifoChannel.__new__(FifoChannel)
         clone.src = self.src
         clone.dst = self.dst
+        clone.deliver_step = self.deliver_step
         clone._queue = self._queue
         clone._shared = True
         self._shared = True

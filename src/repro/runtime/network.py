@@ -69,12 +69,13 @@ class Network:
     def deliverable_channels(self) -> list[FifoChannel]:
         """Nonempty channels whose link is up (same order as
         :meth:`nonempty_channels`, so schedules stay comparable)."""
+        # The simulator asks this before every step: read the queues
+        # directly, and look links up only while some link is cut.
+        nonempty = [c for c in self._channels.values() if c._queue]
         down = self._down
-        return [
-            c
-            for c in self._channels.values()
-            if not c.empty and (c.src, c.dst) not in down
-        ]
+        if not down:
+            return nonempty
+        return [c for c in nonempty if (c.src, c.dst) not in down]
 
     # -- link masks (partitions) ----------------------------------------------
 

@@ -8,18 +8,29 @@ initialization" act directly on :attr:`variables`.
 
 Wrapping (the paper's ``M box W``) happens at this level by composing the
 process program with a wrapper program -- see
-:meth:`ProcessRuntime.variables` remains a single flat namespace, matching
-UNITY union semantics.
+:func:`repro.tme.wrapper.wrap_program`.  :attr:`ProcessRuntime.variables`
+remains a single flat namespace, matching UNITY union semantics.
+
+Guards are pure functions of the local view and variable values are
+immutable (the :meth:`ProcessRuntime.snapshot` contract), so the enabled
+set of a process can only change when one of its variables is rebound.
+:meth:`ProcessRuntime.enabled_internal_actions` therefore keeps the last
+answer and *validates* it against :attr:`ProcessRuntime.variables` by
+object identity before reuse; nothing has to tell it about a write, so
+effects, faults and callers that assign into ``variables`` directly (the
+lock frontend, tests) are all covered by the same check.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any
+from operator import is_
+from typing import Any, NamedTuple
 
 from repro.dsl.guards import Effect, GuardedAction, LocalView
-from repro.dsl.program import ProcessProgram
+from repro.dsl.program import ProcessProgram, enabled_actions
 from repro.runtime.messages import Message
+from repro.runtime.scheduler import InternalStep
 
 #: Lifecycle states.  LIVE processes execute normally.  CRASHED processes
 #: have lost their volatile state and take no steps.  RECOVERING processes
@@ -28,6 +39,29 @@ from repro.runtime.messages import Message
 LIVE = "live"
 CRASHED = "crashed"
 RECOVERING = "recovering"
+
+
+class _EnabledMemo(NamedTuple):
+    """The enabled set of one valuation (immutable, shared by forks)."""
+
+    names: tuple[str, ...]
+    values: tuple[Any, ...]
+    view: LocalView
+    actions: tuple[GuardedAction, ...]
+    steps: tuple[InternalStep, ...]
+
+    def holds_for(self, variables: dict[str, Any]) -> bool:
+        """Is every variable still bound to the object it was bound to?
+
+        Identity, not equality: ``1 == True == 1.0``, yet a guard that
+        asks ``isinstance(lc, int)`` tells them apart.  A rebinding to an
+        equal object only costs a re-evaluation.
+        """
+        return (
+            len(variables) == len(self.names)
+            and all(map(is_, variables, self.names))
+            and all(map(is_, variables.values(), self.values))
+        )
 
 
 class ProcessRuntime:
@@ -49,6 +83,7 @@ class ProcessRuntime:
         self.event_seq = 0
         self.steps_taken = 0
         self._snapshot_keys: tuple[str, ...] | None = None
+        self._enabled_memo: _EnabledMemo | None = None
         self.status = LIVE
         self.restart_at: int | None = None
         self.restart_vars: tuple[tuple[str, Any], ...] | None = None
@@ -68,16 +103,47 @@ class ProcessRuntime:
         merged["_peers"] = self.peers
         if extra:
             merged.update(extra)
-        return LocalView(merged)
+        return LocalView.adopt(merged)
+
+    def _current_memo(self) -> _EnabledMemo | None:
+        """The memo, if it still describes :attr:`variables`."""
+        memo = self._enabled_memo
+        if memo is not None and memo.holds_for(self.variables):
+            return memo
+        return None
+
+    def _enabled(self) -> _EnabledMemo:
+        """The enabled set of the current valuation, re-evaluated only
+        when some variable was rebound since the last call."""
+        memo = self._current_memo()
+        if memo is None:
+            variables = self.variables
+            view = self.view()
+            actions = tuple(enabled_actions(self.program, view))
+            memo = self._enabled_memo = _EnabledMemo(
+                tuple(variables),
+                tuple(variables.values()),
+                view,
+                actions,
+                tuple(InternalStep(self.pid, a.name) for a in actions),
+            )
+        return memo
 
     def enabled_internal_actions(self) -> list[GuardedAction]:
         """Internal actions whose guards hold in the current state."""
-        v = self.view()
-        return [a for a in self.program.actions if a.enabled(v)]
+        return list(self._enabled().actions)
+
+    def enabled_internal_steps(self) -> tuple[InternalStep, ...]:
+        """:meth:`enabled_internal_actions` as scheduler candidates."""
+        return self._enabled().steps
 
     def execute_internal(self, action: GuardedAction) -> Effect:
         """Run one enabled internal action and apply its effect."""
-        effect = action.execute(self.view())
+        # While the valuation stands, the body gets the view the guards
+        # saw, and with it what they derived (the wrapper's Lspec view).
+        memo = self._current_memo()
+        view = memo.view if memo is not None else self.view()
+        effect = action.execute(view)
         self._apply(effect)
         return effect
 
@@ -180,6 +246,7 @@ class ProcessRuntime:
         clone.event_seq = self.event_seq
         clone.steps_taken = self.steps_taken
         clone._snapshot_keys = self._snapshot_keys
+        clone._enabled_memo = self._enabled_memo
         clone.status = self.status
         clone.restart_at = self.restart_at
         clone.restart_vars = self.restart_vars

@@ -23,7 +23,8 @@ from __future__ import annotations
 import copy
 import random
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,11 @@ class DeliverStep:
 
     src: str
     dst: str
+    #: The stable identity schedulers sort by and records store.
+    key: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple:
-        return ("deliver", self.src, self.dst)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", ("deliver", self.src, self.dst))
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,16 @@ class InternalStep:
 
     pid: str
     action: str
+    #: The stable identity schedulers sort by and records store.
+    key: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple:
-        return ("internal", self.pid, self.action)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", ("internal", self.pid, self.action))
 
 
 Step = DeliverStep | InternalStep
+
+_step_key = attrgetter("key")
 
 
 class Scheduler:
@@ -91,7 +96,7 @@ class RandomScheduler(Scheduler):
     def choose(self, candidates: Sequence[Step], step_index: int) -> Step:
         if not candidates:
             raise ValueError("no candidate steps")
-        ordered = sorted(candidates, key=lambda s: s.key)
+        ordered = sorted(candidates, key=_step_key)
         weights = [
             self._deliver_bias if isinstance(s, DeliverStep) else 1.0
             for s in ordered
@@ -117,7 +122,7 @@ class RoundRobinScheduler(Scheduler):
         if not candidates:
             raise ValueError("no candidate steps")
         chosen = min(
-            sorted(candidates, key=lambda s: s.key),
+            sorted(candidates, key=_step_key),
             key=lambda s: self._last_served.get(s.key, -1),
         )
         self._last_served[chosen.key] = step_index

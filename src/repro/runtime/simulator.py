@@ -127,16 +127,15 @@ class Simulator:
         non-empty channel whose link is up and whose receiver is not
         crashed, plus every enabled internal action of a non-crashed
         process."""
-        steps: list[Step] = []
         processes = self.processes
-        for chan in self.network.deliverable_channels():
-            if processes[chan.dst].is_live:
-                steps.append(DeliverStep(chan.src, chan.dst))
-        for pid, proc in processes.items():
-            if not proc.is_live:
-                continue
-            for act in proc.enabled_internal_actions():
-                steps.append(InternalStep(pid, act.name))
+        steps: list[Step] = [
+            chan.deliver_step
+            for chan in self.network.deliverable_channels()
+            if processes[chan.dst].is_live
+        ]
+        for proc in processes.values():
+            if proc.is_live:
+                steps.extend(proc.enabled_internal_steps())
         return steps
 
     # -- execution ----------------------------------------------------------
@@ -210,8 +209,8 @@ class Simulator:
         sends: tuple[tuple[str, str], ...] = ()
         action_name = None
         if effect is not None:
-            handler = proc.program.receive_action_for(message.kind)
-            action_name = handler.name if handler else None
+            # An effect means a handler ran, so there is one to name.
+            action_name = proc.program.receive_action_for(message.kind).name
             if self.record_trace:
                 event_uid = self._record_event(
                     step.dst,
@@ -237,9 +236,7 @@ class Simulator:
         self, step: InternalStep, faults: tuple[str, ...]
     ) -> StepRecord:
         proc = self.processes[step.pid]
-        act = next(
-            (a for a in proc.program.actions if a.name == step.action), None
-        )
+        act = proc.program.internal_action(step.action)
         if act is None:
             raise KeyError(f"{step.pid} has no action {step.action!r}")
         pre_clock = proc.variables.get("lc", 0)

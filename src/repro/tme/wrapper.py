@@ -103,8 +103,13 @@ def wrapper_program(
     cfg = config or WrapperConfig()
     peers = tuple(k for k in all_pids if k != pid)
 
-    def lspec_of(view: LocalView) -> LspecView:
+    def abstract(view: LocalView) -> LspecView:
         return adapter(view.as_dict(), pid, peers)
+
+    def lspec_of(view: LocalView) -> LspecView:
+        # One abstraction per view object: both guards and the body of a
+        # step are handed the same view, and the memo dies with it.
+        return view.derived(abstract)
 
     def timer_running(view: LocalView) -> bool:
         # The wrapper's own variable must itself be stabilizing: a corrupted

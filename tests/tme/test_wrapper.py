@@ -155,6 +155,48 @@ class TestComposition:
         assert adapter_for(name) is adapter_for("Lamport_ME")
 
 
+class TestOneAbstractionPerValuation:
+    """Both wrapper guards and the body share the view the runtime hands
+    them, so the adapter runs once per valuation, not once per reader."""
+
+    def hungry_runtime(self):
+        from repro.runtime import ProcessRuntime
+
+        built = []
+
+        def counting_adapter(variables, pid, peers) -> LspecView:
+            built.append(pid)
+            return explicit_adapter(variables, pid, peers)
+
+        pids = ("p0", "p1")
+        program = wrap_program(
+            ra_programs(pids)["p0"],
+            "p0",
+            pids,
+            WrapperConfig(theta=4),
+            adapter=counting_adapter,
+        )
+        stale = {"phase": "h", "lc": 5, "req": Timestamp(5, "p0")}
+        return ProcessRuntime("p0", program, pids, overrides=stale), built
+
+    def test_guards_and_body_share_one_view(self):
+        proc, built = self.hungry_runtime()
+        enabled = {a.name: a for a in proc.enabled_internal_actions()}
+        effect = proc.execute_internal(enabled["W:correct"])
+        assert [s.receiver for s in effect.sends] == ["p1"]
+        assert len(built) == 1
+
+    def test_changed_valuation_is_abstracted_again(self):
+        proc, built = self.hungry_runtime()
+        proc.enabled_internal_actions()
+        proc.enabled_internal_actions()
+        assert len(built) == 1
+        proc.variables["req"] = Timestamp(6, "p0")
+        enabled = {a.name for a in proc.enabled_internal_actions()}
+        assert "W:correct" in enabled
+        assert len(built) == 2
+
+
 class TestGrayboxness:
     def test_wrapper_reads_only_lspec_interface(self):
         """The wrapper's decision depends only on the LspecView -- feed the
