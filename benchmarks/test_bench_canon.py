@@ -9,10 +9,18 @@ n = 3 and n = 4, depth 6) and reports the orbit-cache hit rate the
 engine observed -- the cache is what turns the 50-80% duplicate
 successor rate into dict hits instead of repeated canonicalizations.
 
-The race is asserted here (symmetry must win every RA row) and the
-throughput itself is gated by ``compare_baseline.py``'s ``canon_ra_n3``
-case, so a >30% regression of raw canonicalization throughput fails CI
-even when exploration throughput hides it.
+The race is asserted where the quotient is worth having: RA n=4 at
+depth 11 (71 505 exact states against 4 788 representatives), where
+the canonicalizer's cold-start cost -- the per-permutation relabel
+tables -- is amortised and the quotient wins by ~1.7x.  At depth 6 the
+surfaces are a few hundred states, and since the memoised expansion
+(DESIGN section 3, decision 7) cut an exact state from ~100 us to
+~20 us, exact enumeration is the quicker of the two there; those rows
+are held to a bounded symmetric/exact ratio instead, so the quotient
+cannot drift arbitrarily far behind.  Raw throughput is gated by
+``compare_baseline.py``'s ``canon_ra_n3`` case, so a >30% regression of
+canonicalization throughput fails CI even when exploration throughput
+hides it.
 """
 
 import time
@@ -24,17 +32,26 @@ from common import record
 
 CLIENT = ClientConfig(think_delay=1, eat_delay=1)
 
-#: (algorithm, n, symmetry mode) -- the E15 pair plus the two other
-#: symmetric baseline systems, all depth-6 like the baseline gate.
+#: Depth at which RA n=4 is large enough (71 505 exact states) that
+#: symmetry must win outright; shallower rows only bound the ratio.
+RACE_DEPTH = 11
+#: Symmetric wall-clock may be at most this multiple of exact at depth 6
+#: (measured 1.9-3.1x; the pre-packed canonicalizer sat at ~45x).
+MAX_SHALLOW_RATIO = 6.0
+
+#: (algorithm, n, symmetry mode, depth) -- the E15 pair plus the two
+#: other symmetric baseline systems at depth 6 like the baseline gate,
+#: and the deep RA row the race is asserted on.
 CASES = (
-    ("ra", 3, "full"),
-    ("ra", 4, "full"),
-    ("token", 3, "ring"),
-    ("lamport", 3, "full"),
+    ("ra", 3, "full", 6),
+    ("ra", 4, "full", 6),
+    ("token", 3, "ring", 6),
+    ("lamport", 3, "full", 6),
+    ("ra", 4, "full", RACE_DEPTH),
 )
 
 
-def _timed(space, max_depth=6, max_states=20_000):
+def _timed(space, max_depth, max_states=200_000):
     started = time.perf_counter()
     run = explore(space, max_depth=max_depth, max_states=max_states)
     return run, time.perf_counter() - started
@@ -42,16 +59,16 @@ def _timed(space, max_depth=6, max_states=20_000):
 
 def canon_rows(cases=CASES, repeats=3):
     rows = []
-    for algo, n, symmetry in cases:
+    for algo, n, symmetry, depth in cases:
         programs = tme_programs(algo, n, CLIENT)
         best_exact = best_sym = None
         sym_run = None
         for _ in range(repeats):
             # Fresh spaces each round: the canonicalizer's caches live
             # on the space, and the race is cold-start vs cold-start.
-            exact, t_exact = _timed(GlobalSimulatorSpace(programs))
+            exact, t_exact = _timed(GlobalSimulatorSpace(programs), depth)
             run, t_sym = _timed(
-                GlobalSimulatorSpace(programs, symmetry=symmetry)
+                GlobalSimulatorSpace(programs, symmetry=symmetry), depth
             )
             exact_states, sym_states = exact.states, run.states
             if best_exact is None or t_exact < best_exact:
@@ -61,7 +78,7 @@ def canon_rows(cases=CASES, repeats=3):
         stats = sym_run.stats
         rows.append(
             {
-                "case": f"{algo} n={n}",
+                "case": f"{algo} n={n} d={depth}",
                 "exact_states": exact_states,
                 "sym_states": sym_states,
                 "exact_ms": f"{best_exact * 1000:.1f}",
@@ -70,7 +87,9 @@ def canon_rows(cases=CASES, repeats=3):
                 "sym_states_per_sec": f"{stats.states_per_second:.0f}",
                 "cache_hit_rate": f"{stats.canon_cache_hit_rate:.0%}",
                 "_sym_wins": best_sym < best_exact,
+                "_ratio": best_sym / best_exact,
                 "_algo": algo,
+                "_depth": depth,
                 "_hit_rate": stats.canon_cache_hit_rate,
             }
         )
@@ -88,12 +107,20 @@ def test_canon_fast_path(benchmark):
         "E15 -- symmetry-reduced vs exact wall-clock "
         "(packed canonicalization)",
     )
-    # The E15 cases (RA_ME) must win the wall-clock race outright.
+    # RA_ME must win the wall-clock race outright once the quotient is
+    # large, and stay within a bounded factor of exact where it is not.
     for row in rows:
-        if row["_algo"] == "ra":
+        if row["_algo"] != "ra":
+            continue
+        if row["_depth"] == RACE_DEPTH:
             assert row["_sym_wins"], (
                 f"{row['case']}: symmetry {row['sym_ms']}ms did not beat "
                 f"exact {row['exact_ms']}ms"
+            )
+        else:
+            assert row["_ratio"] <= MAX_SHALLOW_RATIO, (
+                f"{row['case']}: symmetry {row['sym_ms']}ms is more than "
+                f"{MAX_SHALLOW_RATIO:.0f}x exact {row['exact_ms']}ms"
             )
     # The orbit cache must actually serve repeats: every system here
     # revisits states through duplicate successor edges.

@@ -725,10 +725,18 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             digest=True,
         )
         surface = "global space"
-    print(
+    line = (
         f"{args.algorithm} n={args.n}: {surface}, "
         f"{result.states} distinct states"
     )
+    evaluations = result.local_evaluations
+    if evaluations is not None:
+        # Section 1's sum vs product: what expansion evaluated vs found.
+        line += (
+            f" from {evaluations[0]} + {evaluations[1]} local evaluations "
+            "(internal + deliver)"
+        )
+    print(line)
     if result.content_digest is not None:
         print(f"content digest: {result.content_digest}")
     print(result.stats.describe())
@@ -747,6 +755,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             "content_digest": result.content_digest,
             "stats": dataclasses.asdict(result.stats),
         }
+        if evaluations is not None:
+            payload["stats"]["local_evaluations"] = {
+                "internal": evaluations[0],
+                "deliver": evaluations[1],
+            }
         args.json.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}")
     return 0

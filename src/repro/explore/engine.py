@@ -46,13 +46,15 @@ class PhaseProfile:
     Phases (seconds, non-overlapping):
 
     ``expand``
-        Generating successors (simulator forking, effect application).
+        Generating successors (move lookup or evaluation, snapshot and
+        token patching).
     ``canonicalize``
         Symmetry canonicalization of roots and successors (0.0 when the
         space defines no symmetry).
     ``store``
         Visited-set insertions that stored a fresh state (encode +
-        intern + dict insert).
+        intern + dict insert; the dict insert alone when the space hands
+        over the node's token stream).
     ``dedup``
         Visited-set probes that hit an already-stored state.
 
@@ -400,9 +402,16 @@ def explore(
     canon = getattr(space, "canonical_key", None)
     visited = make_visited_store(getattr(space, "codec", None))
     packed = getattr(space, "packed_canon", None)
-    if packed is not None and not hasattr(visited, "add_packed"):
-        packed = None  # packed canon requires the interned store
+    tokens_of = getattr(space, "tokens_of", None)
+    if not hasattr(visited, "add_packed"):
+        packed = tokens_of = None  # both need the interned store
+    pack = getattr(getattr(visited, "codec", None), "pack", None)
+    if pack is None:
+        tokens_of = None  # a plain StateCodec cannot pack a token stream
     delta_of = getattr(space, "delta_of", None) if packed else None
+    #: the visited store takes blobs: canonical ones from ``packed``, or
+    #: the node's own token stream packed as is (exact spaces)
+    blobs = packed is not None or tokens_of is not None
     cache_hits0 = packed.stats.hits if packed is not None else 0
     cache_misses0 = packed.stats.misses if packed is not None else 0
     frontier: deque[tuple[Any, int]] = deque()
@@ -419,12 +428,16 @@ def explore(
 
     for root in space.roots():
         key = space.key(root)
-        if packed is not None:
-            if clock:
-                t0 = clock()
-            cblob, rewritten = packed.canonicalize(key)
-            if clock:
-                canon_s += clock() - t0
+        if blobs:
+            tokens = tokens_of(root) if tokens_of is not None else None
+            if packed is not None:
+                if clock:
+                    t0 = clock()
+                cblob, rewritten = packed.canonicalize(key, tokens=tokens)
+                if clock:
+                    canon_s += clock() - t0
+            else:
+                cblob, rewritten = pack(tokens), False
             if rewritten:
                 orbit_reductions += 1
             if max_states is not None and len(visited) >= max_states:
@@ -485,15 +498,19 @@ def explore(
                 break
             transitions += 1
             key = space.key(succ)
-            if packed is not None:
-                delta = delta_of(succ) if delta_of is not None else None
-                if clock:
-                    t0 = clock()
-                cblob, rewritten = packed.canonicalize(
-                    key, parent_key, delta
-                )
-                if clock:
-                    canon_s += clock() - t0
+            if blobs:
+                tokens = tokens_of(succ) if tokens_of is not None else None
+                if packed is not None:
+                    delta = delta_of(succ) if delta_of is not None else None
+                    if clock:
+                        t0 = clock()
+                    cblob, rewritten = packed.canonicalize(
+                        key, parent_key, delta, tokens
+                    )
+                    if clock:
+                        canon_s += clock() - t0
+                else:
+                    cblob, rewritten = pack(tokens), False
                 if rewritten:
                     orbit_reductions += 1
                 if max_states is not None and len(visited) >= max_states:

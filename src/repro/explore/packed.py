@@ -348,6 +348,7 @@ class PackedGlobalCanonicalizer:
         state: GlobalState,
         parent_key: GlobalState | None = None,
         delta: Delta | None = None,
+        tokens: list[int] | None = None,
     ) -> tuple[bytes, bool]:
         """The canonical representative's packed blob, plus whether it
         differs from ``state``.
@@ -355,9 +356,12 @@ class PackedGlobalCanonicalizer:
         When ``parent_key`` is the snapshot the candidate templates are
         currently filled with (one engine expansion keeps it fixed) and
         ``delta`` names the touched components, each candidate is
-        patched rather than rebuilt.
+        patched rather than rebuilt.  ``tokens`` is ``state``'s token
+        stream under *this* codec when the caller already has it (the
+        space's ``tokens_of``); it is read, never modified.
         """
-        tokens = self.codec.encode_tokens(state)
+        if tokens is None:
+            tokens = self.codec.encode_tokens(state)
         blob = array(_TYPECODE, tokens).tobytes()
         cached = self._cache.get(blob)
         if cached is not None:
@@ -499,8 +503,8 @@ class CachedCanonicalizer:
     every duplicate successor, and this wrapper turns each repeat into
     one packed-blob dict hit.  Exposes the same ``canonicalize`` /
     ``canonical_state`` / ``decode`` surface as
-    :class:`PackedGlobalCanonicalizer` (the delta arguments are
-    accepted and ignored).
+    :class:`PackedGlobalCanonicalizer` (the delta and token arguments
+    are accepted and ignored).
     """
 
     def __init__(
@@ -520,6 +524,7 @@ class CachedCanonicalizer:
         key: Hashable,
         parent_key: Hashable | None = None,
         delta: Any = None,
+        tokens: Any = None,
     ) -> tuple[bytes, bool]:
         blob = self.codec.encode(key)
         cached = self._cache.get(blob)

@@ -115,11 +115,17 @@ class _WireCanon:
         self._memo: dict[bytes, tuple[bytes, bytes]] = {}
 
     def convert(
-        self, key: Hashable, parent_key: Hashable = None, delta: Any = None
+        self,
+        key: Hashable,
+        parent_key: Hashable = None,
+        delta: Any = None,
+        tokens: Any = None,
     ) -> tuple[bytes, bytes, bool]:
         packed = self.packed
         if packed is not None:
-            cblob, rewritten = packed.canonicalize(key, parent_key, delta)
+            cblob, rewritten = packed.canonicalize(
+                key, parent_key, delta, tokens
+            )
             hit = self._memo.get(cblob)
             if hit is None:
                 if len(self._memo) >= _MEMO_MAX:
@@ -251,6 +257,7 @@ def _warm_start(
 
     out = _WarmResult()
     delta_of = getattr(space, "delta_of", None)
+    tokens_of = getattr(space, "tokens_of", None)
     key_of = space.key
 
     def admit(blob: bytes, digest: bytes, depth: int) -> int | None:
@@ -268,7 +275,10 @@ def _warm_start(
 
     level: list[tuple[Any, int]] = []
     for root in space.roots():
-        blob, digest, rewritten = wc.convert(key_of(root))
+        blob, digest, rewritten = wc.convert(
+            key_of(root),
+            tokens=tokens_of(root) if tokens_of is not None else None,
+        )
         out.orbit_reductions += rewritten
         if max_states is not None and len(out.digests) >= max_states:
             if digest in out.digests:
@@ -315,6 +325,7 @@ def _warm_start(
                     key_of(succ),
                     parent_key,
                     delta_of(succ) if delta_of is not None else None,
+                    tokens_of(succ) if tokens_of is not None else None,
                 )
                 out.orbit_reductions += rewritten
                 if (
@@ -378,6 +389,7 @@ class _Shard:
         self.canon0 = self.wc.cache_counts()
         self.node_of = getattr(space, "node_of_key", None)
         self.delta_of = getattr(space, "delta_of", None)
+        self.tokens_of = getattr(space, "tokens_of", None)
 
         #: (global rank, member blob) -- the level currently owed
         #: expansion.
@@ -450,6 +462,7 @@ class _Shard:
         key_of = space.key
         node_of = self.node_of
         delta_of = self.delta_of
+        tokens_of = self.tokens_of
         out: list[list] = [[] for _ in range(self.shards)]
         counts = [0] * self.shards
         for rank, member_blob in self.frontier:
@@ -464,12 +477,18 @@ class _Shard:
             cand = 0
             for succ in succs:
                 self.transitions += 1
+                delta = tokens = None
                 if node_of is not None:
                     skey = key_of(succ)
-                    delta = delta_of(succ) if delta_of is not None else None
+                    if delta_of is not None:
+                        delta = delta_of(succ)
+                    if tokens_of is not None:
+                        tokens = tokens_of(succ)
                 else:
-                    skey, delta = succ, None
-                cblob, digest, rewritten = wc.convert(skey, state, delta)
+                    skey = succ
+                cblob, digest, rewritten = wc.convert(
+                    skey, state, delta, tokens
+                )
                 self.orbit_reductions += rewritten
                 member = wc.wire.encode(skey) if rewritten else None
                 item = (digest, rank, cand, cblob, member)

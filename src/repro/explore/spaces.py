@@ -6,20 +6,21 @@ function.  Three concrete spaces cover the repository's searches:
 * :class:`TransitionSystemSpace` -- the finite graphs of
   :class:`~repro.core.system.TransitionSystem` (reachability for the
   refinement/stabilization relations and the theorem checks);
-* :class:`GlobalSimulatorSpace` -- the *global* product space of a live
-  :class:`~repro.runtime.simulator.Simulator` (the whitebox verification
-  surface of Section 1), expanded by copy-on-write
-  :meth:`~repro.runtime.simulator.Simulator.fork` instead of rebuilding a
-  simulator per branch;
+* :class:`GlobalSimulatorSpace` -- the *global* product space of a
+  simulated system (the whitebox verification surface of Section 1),
+  expanded as a function of the snapshot: each process's moves are
+  computed once per local valuation and successors are built by patching
+  the parent snapshot, with the real
+  :class:`~repro.runtime.simulator.Simulator` kept as the reference;
 * :class:`LocalProcessSpace` -- the *local* space of one
   :class:`~repro.runtime.process.ProcessRuntime` under a bounded message
   alphabet (the graybox per-process surface; the system-wide graybox cost
   is the sum over processes, not the product).
 
-Nodes may be arbitrary carrier objects (e.g. live simulators); ``key``
-maps a node to the hashable state identity used for deduplication.
+Nodes may be arbitrary carrier objects; ``key`` maps a node to the
+hashable state identity used for deduplication.
 
-Two optional hooks refine how the engine stores and deduplicates keys:
+Optional hooks refine how the engine stores and deduplicates keys:
 
 * ``canonical_key(key)`` -- maps a key to its orbit representative under
   process-permutation symmetry (see :mod:`repro.explore.canon`).  The
@@ -29,19 +30,26 @@ Two optional hooks refine how the engine stores and deduplicates keys:
 * ``codec`` -- a :class:`~repro.explore.store.StateCodec` the engine
   uses to intern keys into packed blobs instead of keeping the full
   object graphs in the visited set (see :mod:`repro.explore.store`).
+* ``delta_of(node)`` / ``tokens_of(node)`` -- what the node already
+  knows about its key: the components that differ from its parent's, and
+  the key's packed token stream under ``codec``, so neither the
+  canonicalizer nor the store has to re-derive them from the key
+  (``tokens_of`` is ignored unless ``codec`` can ``pack`` a stream).
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Mapping
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
+
+from repro.runtime.trace import GlobalState
 
 if TYPE_CHECKING:
     from repro.core.system import StateLike, TransitionSystem
+    from repro.dsl.guards import Effect
     from repro.dsl.program import ProcessProgram
+    from repro.runtime.process import ProcessRuntime
     from repro.runtime.simulator import Simulator
-    from repro.runtime.trace import GlobalState
 
 #: Symmetry group selectors accepted by the simulator-backed spaces.
 FULL_SYMMETRY = "full"
@@ -97,48 +105,64 @@ class TransitionSystemSpace:
 
 
 class _GlobalNode:
-    """A live simulator paired with its (already materialised) snapshot.
+    """A snapshot, how it differs from its parent, and its packed tokens.
 
     ``delta`` is the touched-component record of the step that produced
     this node from its parent -- ``(changed_pid | None, touched channel
     keys)`` -- or ``None`` for roots.  The packed canonicalizer patches
     parent candidate vectors with exactly these components instead of
     rebuilding them (see :mod:`repro.explore.packed`).
+
+    ``tokens`` is ``codec.encode_tokens(state)`` for the *owning space's*
+    codec, derived from the parent's stream by re-interning only the
+    touched components.  Interner ids mean nothing to another codec, so
+    the stream lives here and never on the :class:`GlobalState`.
     """
 
-    __slots__ = ("sim", "state", "delta")
+    __slots__ = ("state", "delta", "tokens")
 
     def __init__(
         self,
-        sim: "Simulator",
         state: "GlobalState",
-        delta: tuple[str | None, tuple[tuple[str, str], ...]] | None = None,
+        delta: tuple[str | None, tuple[tuple[str, str], ...]] | None,
+        tokens: list[int],
     ):
-        self.sim = sim
         self.state = state
         self.delta = delta
+        self.tokens = tokens
+
+
+#: What one step does to the acting process and the channels, as a pure
+#: function of the acting process's valuation (and the delivered message):
+#: ``(new (pid, vars) entry | None, its vars_oid, ((channel index, (kind,
+#: payload)), ...) sends in order, delta)``.  ``None`` for the entry means
+#: the process is unchanged (an unhandled or rejected message is consumed).
+_Move = tuple[Any, int, tuple, tuple]
 
 
 class GlobalSimulatorSpace:
     """The global state space of a simulated system (whitebox surface).
 
-    Nodes carry a live :class:`~repro.runtime.simulator.Simulator`
-    alongside its :class:`~repro.runtime.trace.GlobalState` snapshot (the
-    dedup key).  Expansion forks the node's simulator once per candidate
-    step -- no simulator is ever rebuilt from scratch -- and successor
-    snapshots are derived *incrementally* from the parent snapshot: one
-    step touches exactly one process and at most a handful of channels
-    (the executed :class:`~repro.runtime.trace.StepRecord` names them),
-    so everything else is shared structurally.
+    Nodes carry a :class:`~repro.runtime.trace.GlobalState` snapshot (the
+    dedup key) and no simulator.  Snapshots erase message metadata (uids,
+    piggybacked sender clocks), so the successor function has to be a
+    function of the *snapshot* for the explored graph to be well defined
+    on snapshot states -- and :meth:`successors` is computed as one: what
+    a process can do depends only on its own valuation (and, for a
+    delivery, on the sender and the head message), so each distinct
+    ``(pid, vars)`` is evaluated once per space and every later global
+    state containing it replays the memoised moves by replacing one entry
+    of the parent's ``processes`` tuple and popping/appending ``(kind,
+    payload)`` pairs in the touched ``channels`` entries.  The memo holds
+    at most the *sum* of the local state spaces while the visited set
+    grows with their product -- Section 1's asymmetry, read off
+    :attr:`local_evaluations`.
 
-    Snapshots deliberately erase message metadata (uids, piggybacked
-    sender clocks), so the successor function must be a function of the
-    *snapshot* for the explored graph to be well defined on snapshot
-    states.  Simulators are therefore canonicalised on entry to the
-    space (:meth:`roots` / :meth:`restore` drop any
-    ``send_event_uid``/``sender_clock``), and :meth:`successors` sends
-    all messages metadata-free, keeping every reachable node canonical --
-    which matches the historical rebuild-from-snapshot semantics exactly.
+    The memo compares valuations with the same ``==`` the visited store's
+    interner deduplicates them with, so it conflates nothing the visited
+    set does not.  :meth:`restore` and :meth:`successors_of_key` run the
+    real :class:`~repro.runtime.simulator.Simulator` from a snapshot and
+    are the reference the memoised function is tested against.
 
     ``symmetry`` opts the space into process-permutation reduction:
     ``"full"`` (or ``True``) quotients under every pid permutation --
@@ -191,11 +215,34 @@ class GlobalSimulatorSpace:
             self.packed_canon = PackedGlobalCanonicalizer(
                 self.codec, pids, group
             )
-        # pid -> position in GlobalState.processes, channel -> position in
-        # GlobalState.channels; fixed for the whole space, filled lazily
-        # from the first snapshot _delta_state sees.
-        self._proc_index: dict[str, int] | None = None
-        self._chan_index: dict[tuple[str, str], int] = {}
+        # Every snapshot of the space has the simulator's layout: sorted
+        # pids, then the complete channel graph in Network order.
+        self._pids = pids
+        self._slot = {pid: slot for slot, pid in enumerate(pids)}
+        self._chan_index = {
+            key: index
+            for index, key in enumerate(
+                (a, b) for a in pids for b in pids if a != b
+            )
+        }
+        #: token index of channel 0's content_oid (see ``encode_tokens``)
+        self._content_base = 2 * len(pids) + 4
+        # The memos.  A valuation is named by its ``vars_oid``: the id
+        # the codec's interner gave the vars tuple, i.e. the tuple up to
+        # the ``==`` the visited store itself deduplicates with.
+        #: (process slot, vars_oid) -> moves of the enabled internal actions
+        self._internal: dict[tuple[int, int], tuple[_Move, ...]] = {}
+        #: (channel index, receiver's vars_oid, head (kind, payload)) ->
+        #: the delivery's move; the channel names sender and receiver
+        self._deliver: dict[tuple[int, int, tuple], _Move] = {}
+
+    @property
+    def local_evaluations(self) -> tuple[int, int]:
+        """``(internal, deliver)``: distinct local valuations whose
+        actions were evaluated, and distinct (valuation, sender, head
+        message) deliveries -- the work expansion paid for, however many
+        global states shared it."""
+        return len(self._internal), len(self._deliver)
 
     def roots(self) -> Iterator[_GlobalNode]:
         from repro.runtime.scheduler import RoundRobinScheduler
@@ -204,198 +251,134 @@ class GlobalSimulatorSpace:
         sim = Simulator(
             self.programs, RoundRobinScheduler(), record_states=False
         )
-        sim.record_trace = False
-        self._canonicalize(sim)
-        yield _GlobalNode(sim, sim.snapshot())
+        yield self.node_of_key(sim.snapshot())
 
-    @staticmethod
-    def _canonicalize(sim: "Simulator") -> None:
-        """Strip non-snapshot message metadata in place (own forks only)."""
-        for chan in sim.network.channels():
-            if chan.empty:
-                continue
-            if all(
-                m.send_event_uid is None and m.sender_clock is None
-                for m in chan
-            ):
-                continue
-            chan.replace_contents(
-                m
-                if m.send_event_uid is None and m.sender_clock is None
-                else replace(m, send_event_uid=None, sender_clock=None)
-                for m in chan.snapshot()
-            )
+    def _runtime(self, entry: tuple) -> "ProcessRuntime":
+        """A process at the valuation of one ``processes`` entry."""
+        from repro.runtime.process import ProcessRuntime
 
-    def _successor_state(
-        self, parent: "GlobalState", branch: "Simulator", record
-    ) -> "GlobalState":
-        """``branch.snapshot()`` computed from the parent's snapshot plus
-        the step record's delta (changed process, touched channels)."""
-        touched: set[tuple[str, str]] = set()
-        if record.kind == "deliver":
-            touched.add((record.delivered_from, record.pid))
-        for _kind, receiver in record.sends:
-            touched.add((record.pid, receiver))
-        return self._delta_state(parent, branch, record.pid, touched)
+        pid, variables = entry
+        return ProcessRuntime(
+            pid, self.programs[pid], self._pids, overrides=dict(variables)
+        )
 
-    def _delta_state(
+    def _move(
         self,
-        parent: "GlobalState",
-        branch: "Simulator",
-        changed_pid: str | None,
-        touched: set[tuple[str, str]],
-    ) -> "GlobalState":
-        """One step changes at most one process and a few channels; the
-        rest of the parent's snapshot is shared structurally."""
-        from repro.runtime.trace import GlobalState
+        proc: "ProcessRuntime",
+        effect: "Effect | None",
+        delivered: tuple[str, str] | None,
+    ) -> _Move:
+        """The memo entry for ``effect`` executed at ``proc`` (after
+        taking a message off channel ``delivered``, if any)."""
+        pid = proc.pid
+        touched = [] if delivered is None else [delivered]
+        if effect is None:
+            # Unhandled or rejected message: consumed, receiver untouched.
+            return None, 0, (), (None, tuple(touched))
+        branch = proc.fork()
+        branch._apply(effect)
+        sends = []
+        for send in effect.sends:
+            key = (pid, send.receiver)
+            if key not in touched:
+                touched.append(key)
+            sends.append((self._chan_index[key], (send.kind, send.payload)))
+        variables = branch.snapshot()
+        return (
+            (pid, variables),
+            self.codec.others.intern(variables),
+            tuple(sends),
+            (pid, tuple(touched)),
+        )
 
-        if self._proc_index is None:
-            self._proc_index = {
-                pid: i for i, (pid, _) in enumerate(parent.processes)
-            }
-            self._chan_index = {
-                key: i for i, (key, _) in enumerate(parent.channels)
-            }
-        if changed_pid is not None:
-            processes = list(parent.processes)
-            processes[self._proc_index[changed_pid]] = (
-                changed_pid,
-                branch.processes[changed_pid].snapshot(),
+    def _internal_moves(self, entry: tuple) -> tuple[_Move, ...]:
+        proc = self._runtime(entry)
+        # One view serves every action: guards and bodies are pure.
+        view = proc.view()
+        return tuple(
+            self._move(proc, act.body(view), None)
+            for act in proc.program.actions
+            if act.enabled(view)
+        )
+
+    def _deliver_move(self, entry: tuple, src: str, head: tuple) -> _Move:
+        kind, payload = head
+        proc = self._runtime(entry)
+        handler = proc.program.receive_action_for(kind)
+        effect = None
+        if handler is not None:
+            # Metadata-free, as the snapshot carries the message.
+            view = proc.view(
+                {"_msg": payload, "_sender": src, "_msg_clock": None}
             )
-            processes = tuple(processes)
-        else:
-            processes = parent.processes
-        if touched:
-            channels = list(parent.channels)
-            network = branch.network
-            for key in touched:
-                channels[self._chan_index[key]] = (
-                    key,
-                    tuple(
-                        (m.kind, m.payload) for m in network.channel(*key)
-                    ),
-                )
+            if handler.enabled(view):
+                effect = handler.body(view)
+        return self._move(proc, effect, (src, proc.pid))
+
+    def _child(
+        self, node: _GlobalNode, slot: int, move: _Move, popped: int | None
+    ) -> _GlobalNode:
+        """``node`` after ``move`` at process ``slot``, the head of
+        channel ``popped`` consumed: everything untouched is shared."""
+        entry, vars_oid, sends, delta = move
+        state = node.state
+        tokens = node.tokens[:]
+        processes = state.processes
+        if entry is not None:
+            processes = processes[:slot] + (entry,) + processes[slot + 1 :]
+            tokens[2 + 2 * slot] = vars_oid
+        channels = state.channels
+        if delta[1]:
+            channels = list(channels)
+            if popped is not None:
+                key, content = channels[popped]
+                channels[popped] = (key, content[1:])
+            for index, message in sends:
+                key, content = channels[index]
+                channels[index] = (key, content + (message,))
+            intern = self.codec.others.intern
+            chan_index = self._chan_index
+            base = self._content_base
+            for key in delta[1]:
+                index = chan_index[key]
+                tokens[base + 3 * index] = intern(channels[index][1])
             channels = tuple(channels)
-        else:
-            channels = parent.channels
-        return GlobalState(processes, channels)
-
-    @staticmethod
-    def _shell(
-        sim: "Simulator", acting_pid: str, bproc, bnet
-    ) -> "Simulator":
-        """Assemble a lean exploration fork around an already-executed
-        process fork ``bproc`` and branch network ``bnet``: only
-        ``acting_pid`` mutated, so every other
-        :class:`~repro.runtime.process.ProcessRuntime` is shared outright.
-
-        Private to exploration: a general-purpose clone must use
-        :meth:`~repro.runtime.simulator.Simulator.fork`, which copies all
-        process state (callers may mutate any process afterwards).
-        """
-        from repro.runtime.simulator import Simulator
-
-        clone = Simulator.__new__(Simulator)
-        clone.network = bnet
-        processes = dict(sim.processes)
-        processes[acting_pid] = bproc
-        clone.processes = processes
-        # Never consulted (exploration enumerates candidates itself) and
-        # never mutated (``choose`` is the only mutator), so share it.
-        clone.scheduler = sim.scheduler
-        clone.fault_hook = None
-        clone.record_states = False
-        clone.record_trace = False
-        clone.trace = sim.trace
-        clone._next_event_uid = sim._next_event_uid
-        clone.step_index = sim.step_index
-        return clone
+        return _GlobalNode(GlobalState(processes, channels), delta, tokens)
 
     def successors(self, node: _GlobalNode) -> Iterator[_GlobalNode]:
         """Expand in the simulator's candidate order: one deliver step per
-        non-empty channel, then every enabled internal action.
+        non-empty channel (``Network`` channel order), then every enabled
+        internal action (processes in pid order, actions in program
+        order).  The order decides where ``max_states`` truncates and in
+        which order ``on_visit`` sees states.
 
-        This inlines :meth:`Simulator.execute` minus its bookkeeping
-        (step records, event uids, trace hooks).  Each candidate first
-        runs its effect on a forked copy of the one acting process; only
-        then -- once the touched channels are known -- is the branch
-        network assembled via
-        :meth:`~repro.runtime.network.Network.fork_channels`, so untouched
-        channels (and for send-free internal steps the whole network) stay
-        shared with the parent.  Messages are sent without piggybacked
-        metadata -- exactly what the snapshot (and hence the successor
-        function on snapshot states) can carry.
-
-        No canonicalisation happens here: roots and restored simulators
-        are canonicalised on entry, and every message this method itself
-        sends is metadata-free, so all reachable nodes are canonical by
-        induction.
+        Each candidate is a memo lookup plus a patch of the parent's
+        snapshot and token stream; guards and bodies run only for a
+        local valuation (or a delivery to one) the space has not seen.
         """
-        sim = node.sim
-        parent = node.state
-        network = sim.network
-        for chan in network.nonempty_channels():
-            src, dst = chan.src, chan.dst
-            message = chan.peek()
-            proc = sim.processes[dst]
-            handler = proc.program.receive_action_for(message.kind)
-            effect = None
-            if handler is not None:
-                view = proc.view(
-                    {
-                        "_msg": message.payload,
-                        "_sender": message.sender,
-                        "_msg_clock": message.sender_clock,
-                    }
+        processes = node.state.processes
+        tokens = node.tokens
+        slot_of = self._slot
+        deliver = self._deliver
+        for index, ((src, dst), content) in enumerate(node.state.channels):
+            if not content:
+                continue
+            slot = slot_of[dst]
+            key = (index, tokens[2 + 2 * slot], content[0])
+            move = deliver.get(key)
+            if move is None:
+                move = deliver[key] = self._deliver_move(
+                    processes[slot], src, content[0]
                 )
-                if handler.enabled(view):
-                    effect = handler.body(view)
-            touched = {(src, dst)}
-            if effect is not None:
-                bproc = proc.fork()
-                bproc._apply(effect)
-                for send in effect.sends:
-                    touched.add((dst, send.receiver))
-            else:
-                # Unhandled/rejected message: consumed, receiver untouched.
-                bproc = proc
-            bnet = network.fork_channels(touched)
-            bnet.channel(src, dst).dequeue()
-            if effect is not None:
-                for send in effect.sends:
-                    bnet.send(send.kind, dst, send.receiver, send.payload)
-            branch = self._shell(sim, dst, bproc, bnet)
-            changed = dst if effect is not None else None
-            yield _GlobalNode(
-                branch,
-                self._delta_state(parent, branch, changed, touched),
-                delta=(changed, tuple(touched)),
-            )
-        for pid, proc in sim.processes.items():
-            # One view serves every action of this process: guards and
-            # bodies are pure, and a fresh fork sees identical variables
-            # (this halves the guard/view work of execute_internal).
-            view = proc.view()
-            for act in proc.program.actions:
-                if not act.enabled(view):
-                    continue
-                effect = act.body(view)
-                bproc = proc.fork()
-                bproc._apply(effect)
-                if effect.sends:
-                    touched = {(pid, s.receiver) for s in effect.sends}
-                    bnet = network.fork_channels(touched)
-                    for send in effect.sends:
-                        bnet.send(send.kind, pid, send.receiver, send.payload)
-                else:
-                    touched = set()
-                    bnet = network
-                branch = self._shell(sim, pid, bproc, bnet)
-                yield _GlobalNode(
-                    branch,
-                    self._delta_state(parent, branch, pid, touched),
-                    delta=(pid, tuple(touched)),
-                )
+            yield self._child(node, slot, move, index)
+        internal = self._internal
+        for slot, entry in enumerate(processes):
+            key = (slot, tokens[2 + 2 * slot])
+            moves = internal.get(key)
+            if moves is None:
+                moves = internal[key] = self._internal_moves(entry)
+            for move in moves:
+                yield self._child(node, slot, move, None)
 
     def key(self, node: _GlobalNode) -> "GlobalState":
         return node.state
@@ -407,13 +390,29 @@ class GlobalSimulatorSpace:
         ``node`` (``None`` for roots / unknown provenance)."""
         return node.delta
 
-    # -- key-based expansion (process-pool workers) -----------------------
+    def tokens_of(self, node: _GlobalNode) -> list[int]:
+        """``codec.encode_tokens(key(node))`` without the encoding: the
+        stream the node already carries (this space's codec only)."""
+        return node.tokens
+
+    def node_of_key(self, state: "GlobalState") -> _GlobalNode:
+        """A node positioned at ``state``, expandable with
+        :meth:`successors` (shard workers expand decoded members).
+        ``encode_tokens`` rejects a partitioned snapshot."""
+        return _GlobalNode(state, None, self.codec.encode_tokens(state))
+
+    # -- the Simulator-backed reference ------------------------------------
 
     def restore(self, state: "GlobalState") -> "Simulator":
-        """Reconstruct a live simulator positioned at ``state``."""
+        """Reconstruct a live simulator positioned at ``state`` (messages
+        carry no metadata, exactly what the snapshot holds)."""
         from repro.runtime.scheduler import RoundRobinScheduler
         from repro.runtime.simulator import Simulator
 
+        if state.down:  # exploration never cuts links
+            raise ValueError(
+                f"cannot explore a partitioned snapshot (down={state.down})"
+            )
         overrides = {pid: state.process_vars(pid) for pid in state.pids()}
         sim = Simulator(
             self.programs,
@@ -425,23 +424,18 @@ class GlobalSimulatorSpace:
         for (src, dst), content in state.channels:
             for kind, payload in content:
                 sim.network.send(kind, src, dst, payload)
-        self._canonicalize(sim)
         return sim
 
-    def node_of_key(self, state: "GlobalState") -> _GlobalNode:
-        """A live node positioned at ``state``, expandable with
-        :meth:`successors` -- the delta-carrying fast path shard workers
-        use instead of the record-keeping :meth:`successors_of_key`."""
-        return _GlobalNode(self.restore(state), state)
-
     def successors_of_key(self, state: "GlobalState") -> list["GlobalState"]:
-        """Successor snapshots of a snapshot (picklable in and out)."""
+        """Successor snapshots of a snapshot, by running the real
+        simulator: ``candidate_steps`` on a restored simulator, one
+        ``fork`` + ``execute`` + ``snapshot`` per step."""
         sim = self.restore(state)
         out: list[GlobalState] = []
         for step in sim.candidate_steps():
             branch = sim.fork()
-            record = branch.execute(step)
-            out.append(self._successor_state(state, branch, record))
+            branch.execute(step)
+            out.append(branch.snapshot())
         return out
 
 

@@ -266,8 +266,14 @@ class GlobalStateCodec(StateCodec):
         ``oid`` indexes :attr:`others`.  This is the substrate the
         packed canonicalizer permutes (see
         :mod:`repro.explore.packed`); ``encode`` is the same stream
-        serialized to bytes.
+        serialized to bytes.  ``state.down`` has no slot in the layout,
+        so a partitioned snapshot is rejected rather than packed to the
+        blob of its all-links-up twin.
         """
+        if state.down:
+            raise ValueError(
+                f"cannot pack a partitioned snapshot (down={state.down})"
+            )
         strings = self.strings.intern
         others = self.others.intern
         tokens = [len(state.processes)]
@@ -281,8 +287,13 @@ class GlobalStateCodec(StateCodec):
             tokens.append(others(content))
         return tokens
 
+    @staticmethod
+    def pack(tokens: list[int]) -> bytes:
+        """A token stream (``encode_tokens`` layout) as a storable blob."""
+        return array(_TYPECODE, tokens).tobytes()
+
     def encode(self, state: GlobalState) -> bytes:  # type: ignore[override]
-        return array(_TYPECODE, self.encode_tokens(state)).tobytes()
+        return self.pack(self.encode_tokens(state))
 
     def decode(self, blob: bytes) -> GlobalState:  # type: ignore[override]
         tokens = array(_TYPECODE)

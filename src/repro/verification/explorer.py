@@ -20,9 +20,11 @@ This module makes that asymmetry measurable:
 E7 sweeps ``n`` and reports both counts.
 
 Both functions are thin wrappers over the unified exploration engine
-(:mod:`repro.explore`): global expansion forks live simulators instead of
-rebuilding one per branch, optionally across a process pool, and every
-result carries the engine's :class:`~repro.explore.ExplorationStats`.
+(:mod:`repro.explore`): global expansion evaluates each distinct local
+valuation once and patches snapshots (so even the whitebox count is *paid
+for* per local state -- ``local_evaluations``), optionally across a
+process pool, and every result carries the engine's
+:class:`~repro.explore.ExplorationStats`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ class ExplorationResult:
 
     ``stats`` carries the engine's full instrumentation (throughput,
     dedup hit-rate, peak frontier, truncation cause); the three legacy
-    fields remain for existing callers.
+    fields remain for existing callers.  ``local_evaluations`` is the
+    global space's ``(internal, deliver)`` count of distinct local
+    evaluations behind those states (in-process global runs only).
     """
 
     label: str
@@ -55,6 +59,7 @@ class ExplorationResult:
     depth_reached: int
     stats: ExplorationStats | None = None
     content_digest: str | None = None
+    local_evaluations: tuple[int, int] | None = None
 
 
 def explore_global(
@@ -87,8 +92,9 @@ def explore_global(
     content digest of the visited set (always present for
     checkpointed/sharded runs, where it is precomputed).
     """
+    space = GlobalSimulatorSpace(programs, symmetry=symmetry)
     result = explore(
-        GlobalSimulatorSpace(programs, symmetry=symmetry),
+        space,
         max_depth=max_depth,
         max_states=max_states,
         max_seconds=max_seconds,
@@ -106,6 +112,12 @@ def explore_global(
         content_digest=(
             result.content_digest()
             if digest or store_dir is not None or workers > 1
+            else None
+        ),
+        # Shard workers evaluate in their own forked copies of the space.
+        local_evaluations=(
+            space.local_evaluations
+            if workers == 1 and store_dir is None
             else None
         ),
     )

@@ -1,11 +1,16 @@
 """Tests for the simulator/process state-space adapters and CoW forking."""
 
+import pytest
+
+from repro.dsl.guards import Effect, action, sends_to_all
+from repro.dsl.program import ProcessProgram
 from repro.explore import GlobalSimulatorSpace, LocalProcessSpace, explore
 from repro.runtime.channel import FifoChannel
 from repro.runtime.messages import Message
 from repro.runtime.scheduler import RoundRobinScheduler
 from repro.runtime.simulator import Simulator
-from repro.tme import ClientConfig, tme_programs
+from repro.runtime.trace import GlobalState
+from repro.tme import ClientConfig, WrapperConfig, tme_programs
 from repro.verification import default_message_alphabet
 
 
@@ -98,8 +103,8 @@ class TestGlobalSimulatorSpace:
             assert rebuilt == node.state
 
     def test_successors_match_key_based_expansion(self):
-        # The fork-based successor function (serial path) and the
-        # restore-based one (process-pool path) define the same graph.
+        # The memoised successor function and the Simulator-backed
+        # reference define the same graph.
         space = GlobalSimulatorSpace(small_programs())
         (root,) = list(space.roots())
         forked = {n.state for n in space.successors(root)}
@@ -117,15 +122,158 @@ class TestGlobalSimulatorSpace:
     def test_expansion_does_not_corrupt_parent(self):
         space = GlobalSimulatorSpace(small_programs())
         (root,) = list(space.roots())
-        before = root.sim.snapshot()
+        before = space.restore(root.state).snapshot()
+        root_tokens = list(root.tokens)
         children = list(space.successors(root))
-        assert root.sim.snapshot() == before
         assert root.state == before
-        # Expanding one child must not disturb its siblings (they share
-        # CoW structure with the parent and each other).
-        sibling_states = [c.state for c in children]
+        assert root.tokens == root_tokens
+        # Expanding one child must not disturb its parent or siblings
+        # (they share every untouched tuple with each other).
+        sibling_states = [
+            space.restore(c.state).snapshot() for c in children
+        ]
+        sibling_tokens = [list(c.tokens) for c in children]
         list(space.successors(children[0]))
+        assert root.state == before
+        assert root.tokens == root_tokens
         assert [c.state for c in children] == sibling_states
+        assert [c.tokens for c in children] == sibling_tokens
+
+    def test_local_evaluations_count_distinct_valuations(self):
+        # The memo grows with the local spaces, not with the product.
+        space = GlobalSimulatorSpace(small_programs(3))
+        assert space.local_evaluations == (0, 0)
+        found = explore(space, max_depth=8)
+        internal, deliver = space.local_evaluations
+        assert 0 < internal < found.stats.expansions
+        assert 0 < deliver < found.stats.transitions
+        explore(space, max_depth=8)  # nothing new to evaluate
+        assert space.local_evaluations == (internal, deliver)
+
+    def test_partitioned_snapshot_is_rejected(self):
+        space = GlobalSimulatorSpace(small_programs())
+        (root,) = list(space.roots())
+        cut = GlobalState(
+            root.state.processes, root.state.channels, (("p0", "p1"),)
+        )
+        with pytest.raises(ValueError, match="partitioned"):
+            space.node_of_key(cut)
+        with pytest.raises(ValueError, match="partitioned"):
+            space.restore(cut)
+
+
+def _wrapped(theta):
+    return tme_programs(
+        "ra", 3, ClientConfig(1, 1), WrapperConfig(theta=theta)
+    )
+
+
+def _greeters():
+    """Every process pings every peer once with an empty payload and
+    remembers who pinged it last: equal valuations receive equal head
+    messages from different senders and must end up different."""
+    program = ProcessProgram(
+        "greeter",
+        {"greeted": False, "last": None},
+        actions=(
+            action(
+                "greet",
+                lambda v: not v.greeted,
+                lambda v: Effect(
+                    {"greeted": True},
+                    sends_to_all(v._peers, "ping", lambda _k: None),
+                ),
+            ),
+        ),
+        receive_actions=(
+            action(
+                "on-ping",
+                lambda v: True,
+                lambda v: Effect({"last": v._sender}),
+                message_kind="ping",
+            ),
+        ),
+    )
+    return {pid: program for pid in ("p0", "p1", "p2")}
+
+
+#: name -> (programs, depth): every TME algorithm, bare and wrapped, and
+#: a system whose deliveries differ only in the sender.
+DIFFERENTIAL = {
+    "greeters": (_greeters, 6),
+    "ra": (lambda: tme_programs("ra", 3, ClientConfig(1, 1)), 6),
+    "ra-count": (lambda: tme_programs("ra-count", 3, ClientConfig(1, 1)), 6),
+    "lamport": (lambda: tme_programs("lamport", 3, ClientConfig(1, 1)), 6),
+    "token": (lambda: tme_programs("token", 3, ClientConfig(1, 1)), 7),
+    "ra+W(theta=0)": (lambda: _wrapped(0), 5),
+    "ra+W(theta=4)": (lambda: _wrapped(4), 6),
+}
+
+
+class TestMemoisedExpansionAgainstSimulator:
+    """``successors`` (memo + snapshot patching) against the reference
+    ``successors_of_key`` (``Simulator.candidate_steps``/``execute``).
+
+    Compared as *lists*: the candidate order decides where ``max_states``
+    truncates and in which order ``on_visit`` sees states.  Mutations
+    this must catch (each checked by hand to fail here): a delivery memo
+    keyed without the channel (sender) or without the head message's
+    payload, and an internal memo keyed by the process alone.
+    """
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+    def test_every_expanded_node_agrees_in_order(self, name):
+        build, depth = DIFFERENTIAL[name]
+        space = GlobalSimulatorSpace(build())
+        encode_tokens = space.codec.encode_tokens
+        seen = set()
+        level = list(space.roots())
+        expanded = 0
+        for _ in range(depth):
+            following = []
+            for node in level:
+                children = list(space.successors(node))
+                assert [
+                    c.state for c in children
+                ] == space.successors_of_key(node.state)
+                for child in children:
+                    assert space.tokens_of(child) == encode_tokens(
+                        child.state
+                    )
+                    if child.state not in seen:
+                        seen.add(child.state)
+                        following.append(child)
+                expanded += 1
+            level = following
+        assert expanded > 50
+        # The memo was exercised, not bypassed: far fewer evaluations
+        # than expansions x processes.
+        assert space.local_evaluations[0] < 3 * expanded
+
+    def test_tokens_are_per_codec(self):
+        # Interner ids belong to one codec, so token streams live on the
+        # node, never on the GlobalState: states taken from one space's
+        # exploration must encode and canonicalize in a second space
+        # exactly as freshly built equal states do
+        # (benchmarks/compare_baseline.py::run_canon_case does this).
+        programs = tme_programs("ra", 3, ClientConfig(1, 1))
+        first = GlobalSimulatorSpace(programs)
+        # Skew the first codec's id assignment against any later one.
+        first.codec.others.intern(("skew",))
+        first.codec.strings.intern("skew")
+        states = list(explore(first, max_depth=5).visited)
+        assert len(states) > 50
+        second = GlobalSimulatorSpace(programs, symmetry="full")
+        for state in states:
+            rebuilt = second.restore(state).snapshot()
+            assert rebuilt == state and rebuilt is not state
+            # The explored state first: a stream cached on it under the
+            # first codec would be packed (and orbit-cached) here.
+            assert second.codec.encode(state) == second.codec.encode(rebuilt)
+            assert second.packed_canon.canonicalize(
+                state
+            ) == second.packed_canon.canonicalize(rebuilt)
+            assert second.codec.decode(second.codec.encode(state)) == state
 
 
 class TestLocalProcessSpace:

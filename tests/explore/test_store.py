@@ -89,6 +89,22 @@ class TestGlobalStateCodec:
         state = small_global_state()
         assert codec.decode(codec.encode(state)) == state
 
+    def test_partitioned_snapshot_is_rejected_not_conflated(self):
+        # The token layout has no slot for ``GlobalState.down``: packing
+        # a cut snapshot used to yield its all-links-up twin's blob (two
+        # unequal states, one visited entry; decode(encode(s)) != s).
+        codec = GlobalStateCodec()
+        state = small_global_state()
+        cut = GlobalState(state.processes, state.channels, (("p0", "p1"),))
+        assert cut != state
+        with pytest.raises(ValueError, match="partitioned"):
+            codec.encode_tokens(cut)
+        with pytest.raises(ValueError, match="partitioned"):
+            codec.encode(cut)
+        with pytest.raises(ValueError, match="partitioned"):
+            InternedStateStore(codec).add(cut)
+        assert codec.pack(codec.encode_tokens(state)) == codec.encode(state)
+
     def test_subtree_interning_is_compact(self):
         # Whole per-process valuations and channel contents intern as one
         # id each: 1 + 2*2 + 1 + 3*2 = 12 tokens of 8 bytes.

@@ -97,6 +97,34 @@ class TestCommands:
         assert "recovered" in out
 
 
+class TestExploreCommand:
+    def test_reports_local_evaluations_beside_states(self, capsys, tmp_path):
+        import json
+
+        out_path = tmp_path / "explore.json"
+        argv = ["explore", "--n", "3", "--max-depth", "6"]
+        assert main([*argv, "--json", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out_path.read_text())
+        evaluations = payload["stats"]["local_evaluations"]
+        assert 0 < evaluations["internal"] < payload["states"]
+        assert (
+            f"{payload['states']} distinct states from "
+            f"{evaluations['internal']} + {evaluations['deliver']} "
+            "local evaluations" in out
+        )
+
+    def test_local_surface_has_no_evaluation_count(self, capsys, tmp_path):
+        import json
+
+        out_path = tmp_path / "local.json"
+        argv = ["explore", "--n", "2", "--local", "p0", "--max-clock", "2"]
+        assert main([*argv, "--json", str(out_path)]) == 0
+        assert "local evaluations" not in capsys.readouterr().out
+        stats = json.loads(out_path.read_text())["stats"]
+        assert "local_evaluations" not in stats
+
+
 class TestCampaignCommand:
     FAST = [
         "--n", "3",
