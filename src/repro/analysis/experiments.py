@@ -367,8 +367,13 @@ def experiment_verification_cost(
     measured exact/quotient ratio (up to ``n!``), and ``bytes_per_state``
     the interned store's packed footprint per representative.
     """
+    from repro.explore import (
+        GlobalSimulatorSpace,
+        LocalProcessSpace,
+        default_message_alphabet,
+        explore,
+    )
     from repro.tme import ClientConfig, tme_programs
-    from repro.verification.explorer import explore_global, explore_local
     from repro.verification.refinement import count_local_states
 
     client = ClientConfig(think_delay=1, eat_delay=1)
@@ -379,24 +384,25 @@ def experiment_verification_cost(
         whitebox_space = local**n
         programs = tme_programs("ra", n, client)
         pids = tuple(sorted(programs))
-        local_run = explore_local(
-            programs[pids[0]],
-            pids[0],
-            pids,
-            kinds=("request", "reply"),
-            max_depth=explore_depth,
-            max_clock=max_clock,
+        alphabet = default_message_alphabet(
+            pids[1:], ("request", "reply"), max_clock
         )
-        global_run = explore_global(
-            programs,
+        local_run = explore(
+            LocalProcessSpace(
+                programs[pids[0]], pids[0], pids, alphabet, max_clock
+            ),
+            max_depth=explore_depth,
+            max_states=200_000,
+        )
+        global_run = explore(
+            GlobalSimulatorSpace(programs),
             max_depth=explore_depth,
             max_states=explore_max_states,
         )
-        sym_run = explore_global(
-            programs,
+        sym_run = explore(
+            GlobalSimulatorSpace(programs, symmetry="full"),
             max_depth=explore_depth,
             max_states=explore_max_states,
-            symmetry="full",
         )
         sym_reduction = (
             global_run.states / sym_run.states if sym_run.states else 0.0
@@ -411,11 +417,11 @@ def experiment_verification_cost(
                 "local_explored": local_run.states,
                 "global_explored": (
                     f"{global_run.states}"
-                    + ("+" if global_run.frontier_truncated else "")
+                    + ("+" if global_run.stats.truncated else "")
                 ),
                 "global_sym": (
                     f"{sym_run.states}"
-                    + ("+" if sym_run.frontier_truncated else "")
+                    + ("+" if sym_run.stats.truncated else "")
                 ),
                 "sym_reduction": f"{sym_reduction:.2f}x",
                 "bytes_per_state": (
@@ -910,55 +916,55 @@ def experiment_parallel(
     import tempfile
     import time
 
+    from repro.explore import GlobalSimulatorSpace, explore
     from repro.tme import tme_programs
-    from repro.verification.explorer import explore_global
 
     client = ClientConfig(think_delay=1, eat_delay=1)
     programs = tme_programs(algorithm, n, client)
     symmetry = "ring" if algorithm == "token" else "full"
 
-    def timed(label: str, **kwargs) -> tuple[Row, Any]:
+    def timed(label: str, **kwargs) -> tuple[Row, str]:
         started = time.perf_counter()
-        run = explore_global(
-            programs,
+        run = explore(
+            GlobalSimulatorSpace(programs, symmetry=symmetry),
             max_depth=max_depth,
-            symmetry=symmetry,
-            digest=True,
+            max_states=200_000,
             **kwargs,
         )
+        digest = run.content_digest()
         elapsed = time.perf_counter() - started
         return {
             "mode": label,
             "states": run.states,
-            "digest": run.content_digest[:12],
+            "digest": digest[:12],
             "states_per_sec": f"{run.states / elapsed:.0f}",
             "resumed": run.stats.resumed_states,
             "spilled_kib": round(run.stats.spill_bytes / 1024, 1),
-        }, run
+        }, digest
 
     rows: list[Row] = []
-    serial_row, serial = timed("serial", workers=1)
+    serial_row, serial_digest = timed("serial", workers=1)
     serial_row["speedup"] = "1.00x"
     serial_rate = float(serial_row["states_per_sec"])
     rows.append(serial_row)
     for count in workers:
         if count <= 1:
             continue
-        row, run = timed(f"sharded x{count}", workers=count)
+        row, digest = timed(f"sharded x{count}", workers=count)
         row["speedup"] = f"{float(row['states_per_sec']) / serial_rate:.2f}x"
-        assert run.content_digest == serial.content_digest
+        assert digest == serial_digest
         rows.append(row)
 
     with tempfile.TemporaryDirectory() as store_dir:
-        row, run = timed("checkpointed x2", workers=2, store_dir=store_dir)
+        row, digest = timed("checkpointed x2", workers=2, store_dir=store_dir)
         row["speedup"] = f"{float(row['states_per_sec']) / serial_rate:.2f}x"
-        assert run.content_digest == serial.content_digest
+        assert digest == serial_digest
         rows.append(row)
-        row, run = timed(
+        row, digest = timed(
             "resumed x2", workers=2, store_dir=store_dir, resume=True
         )
         row["speedup"] = "-"
-        assert run.content_digest == serial.content_digest
+        assert digest == serial_digest
         rows.append(row)
     return rows
 

@@ -674,8 +674,13 @@ def _cmd_figure1() -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from repro.explore import (
+        GlobalSimulatorSpace,
+        LocalProcessSpace,
+        default_message_alphabet,
+        explore,
+    )
     from repro.tme import ClientConfig, tme_programs
-    from repro.verification import explore_global, explore_local
 
     if args.resume and args.store_dir is None:
         print("--resume needs --store-dir (the journals to resume from)")
@@ -690,19 +695,28 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         if args.store_dir is not None or args.resume:
             print("--store-dir/--resume apply to the global space only")
             return 2
-        result = explore_local(
+        pids = tuple(sorted(programs))
+        space = LocalProcessSpace(
             programs[args.local],
             args.local,
-            tuple(sorted(programs)),
-            kinds=("request", "reply"),
+            pids,
+            default_message_alphabet(
+                (p for p in pids if p != args.local),
+                ("request", "reply"),
+                args.max_clock,
+            ),
+            args.max_clock,
+            symmetry=args.symmetry,
+        )
+        result = explore(
+            space,
             max_depth=args.max_depth,
-            max_clock=args.max_clock,
             max_states=args.max_states,
             max_seconds=args.max_seconds,
-            symmetry=args.symmetry,
             profile=args.profile,
         )
         surface = f"local space of {args.local}"
+        digest = evaluations = None
     else:
         # The token ring's nxt topology only survives rotations; every
         # other TME algorithm is a pid-template, so the full group is
@@ -710,26 +724,31 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         symmetry = None
         if args.symmetry:
             symmetry = "ring" if args.algorithm == "token" else "full"
-        result = explore_global(
-            programs,
+        space = GlobalSimulatorSpace(programs, symmetry=symmetry)
+        result = explore(
+            space,
             max_depth=args.max_depth,
             max_states=args.max_states,
             max_seconds=args.max_seconds,
             workers=args.workers,
-            symmetry=symmetry,
             profile=args.profile,
             store_dir=(
                 None if args.store_dir is None else str(args.store_dir)
             ),
             resume=args.resume,
-            digest=True,
         )
         surface = "global space"
+        digest = result.content_digest()
+        # Shard workers evaluate in their own forked copies of the space.
+        evaluations = (
+            space.local_evaluations
+            if args.workers == 1 and args.store_dir is None
+            else None
+        )
     line = (
         f"{args.algorithm} n={args.n}: {surface}, "
         f"{result.states} distinct states"
     )
-    evaluations = result.local_evaluations
     if evaluations is not None:
         # Section 1's sum vs product: what expansion evaluated vs found.
         line += (
@@ -737,8 +756,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             "(internal + deliver)"
         )
     print(line)
-    if result.content_digest is not None:
-        print(f"content digest: {result.content_digest}")
+    if digest is not None:
+        print(f"content digest: {digest}")
     print(result.stats.describe())
     if result.stats.profile is not None:
         print(result.stats.profile.describe())
@@ -752,7 +771,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             "surface": surface,
             "symmetry": bool(args.symmetry),
             "states": result.states,
-            "content_digest": result.content_digest,
+            "content_digest": digest,
             "stats": dataclasses.asdict(result.stats),
         }
         if evaluations is not None:

@@ -40,6 +40,7 @@ from repro.explore.spaces import (
     LocalProcessSpace,
     StateSpace,
     TransitionSystemSpace,
+    default_message_alphabet,
 )
 from repro.explore.store import (
     GlobalStateCodec,
@@ -74,6 +75,7 @@ __all__ = [
     "TransitionSystemSpace",
     "canonical_global",
     "canonical_local",
+    "default_message_alphabet",
     "explore",
     "full_symmetry",
     "make_visited_store",

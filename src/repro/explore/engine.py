@@ -5,7 +5,8 @@ enumeration, graybox per-process enumeration, transition-system
 reachability, and the operational convergence-point scan -- is one
 instance of the same loop: pop a node from a frontier, deduplicate its
 successors against a visited set, push the fresh ones.  This module owns
-that loop once, with
+that loop once (:func:`search`, admitting through the one node -> dedup
+key function :class:`NodeKeys`), with
 
 * pluggable frontier strategies (:data:`BFS` / :data:`DFS`),
 * uniform bounds (``max_depth``, ``max_states``, ``max_seconds``), and
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -150,7 +151,8 @@ class ExplorationStats:
         Per-shard visited counts of a sharded run (empty for serial
         runs) -- the shard-balance view of the hash partition.
     ``batches``
-        Proposal batches that crossed inter-process queues.
+        Worker-to-worker proposal batches that crossed inter-process
+        queues (the coordinator's seed batches are not counted).
     ``reexpansions``
         States re-expanded by a checkpoint resume: the last committed
         frontier level is expanded again because expansions are never
@@ -326,6 +328,292 @@ class Exploration:
 _DONE = object()
 
 
+class _PhaseClock:
+    """``profile=True``: timing wrappers for the three seams of the loop.
+
+    The loop never asks whether it is profiled.  It calls the successor
+    function, the keyer and the store ``add`` it was handed, and these
+    wrappers charge what those calls take to the :class:`PhaseProfile`
+    phases; without ``profile`` the bare callables are on the path.
+    """
+
+    __slots__ = ("expand", "canonicalize", "store", "dedup")
+
+    def __init__(self) -> None:
+        self.expand = self.canonicalize = self.store = self.dedup = 0.0
+
+    def successors(self, successors: Callable) -> Callable:
+        clock = time.perf_counter
+
+        def timed(node: Any):
+            # Spaces generate lazily: charge each ``next``, not the call.
+            succs = iter(successors(node))
+            while True:
+                t0 = clock()
+                succ = next(succs, _DONE)
+                self.expand += clock() - t0
+                if succ is _DONE:
+                    return
+                yield succ
+
+        return timed
+
+    def canonicalizer(self, key_of: Callable) -> Callable:
+        clock = time.perf_counter
+
+        def timed(node: Any, parent_key: Hashable = None):
+            t0 = clock()
+            out = key_of(node, parent_key)
+            self.canonicalize += clock() - t0
+            return out
+
+        return timed
+
+    def adder(self, add: Callable) -> Callable:
+        clock = time.perf_counter
+
+        def timed(dkey: Hashable):
+            t0 = clock()
+            out = add(dkey)
+            if out[1]:
+                self.store += clock() - t0
+            else:
+                self.dedup += clock() - t0
+            return out
+
+        return timed
+
+    def profile(self, elapsed: float) -> PhaseProfile:
+        return PhaseProfile(
+            expand_seconds=self.expand,
+            canonicalize_seconds=self.canonicalize,
+            store_seconds=self.store,
+            dedup_seconds=self.dedup,
+            elapsed_seconds=elapsed,
+        )
+
+
+def _no_hint(_node: Any) -> None:
+    return None
+
+
+class NodeKeys:
+    """How one space's nodes become dedup keys.
+
+    The optional hooks a space may publish (see
+    :mod:`repro.explore.spaces`) are looked up here, once per space, and
+    folded into one function, :attr:`of`: ``of(node, parent_key) ->
+    (dedup key, rewritten)``.  The dedup key is
+
+    * the canonical orbit representative's packed blob when the space
+      publishes ``packed_canon`` (``parent_key`` -- the key of the node
+      being expanded, ``None`` for roots -- and the node's ``delta_of``
+      / ``tokens_of`` go to the canonicalizer); ``rewritten`` then says
+      whether the representative differs from the node's own key;
+    * the node's own token stream, packed, for an exact space with
+      ``tokens_of``, when ``codec`` -- the interned visited store's --
+      can ``pack`` one;
+    * the plain ``space.key(node)`` otherwise.
+
+    :attr:`blobs` tells the first two from the third (the store takes
+    blobs through ``add_packed``), :attr:`decode` maps a dedup key back
+    to the key it stands for.  The serial engine, the sharded engine's
+    warm start and its shard workers all admit through :attr:`of`, so
+    they agree on "already visited" by construction.
+    """
+
+    __slots__ = ("of", "decode", "blobs", "canonical", "_stats", "_seen0")
+
+    def __init__(self, space: StateSpace, codec: Any = None) -> None:
+        key_of = space.key
+        packed = getattr(space, "packed_canon", None)
+        tokens_of = getattr(space, "tokens_of", None)
+        pack = getattr(codec, "pack", None)
+        self.canonical = packed is not None
+        self.blobs = True
+        if packed is not None:
+            canonicalize = packed.canonicalize
+            delta_of = getattr(space, "delta_of", _no_hint)
+            if tokens_of is None:
+                tokens_of = _no_hint
+
+            def of(node: Any, parent_key: Hashable = None):
+                return canonicalize(
+                    key_of(node), parent_key, delta_of(node), tokens_of(node)
+                )
+
+            self.decode = packed.decode
+        elif tokens_of is not None and pack is not None:
+
+            def of(node: Any, parent_key: Hashable = None):
+                return pack(tokens_of(node)), False
+
+            self.decode = codec.decode
+        else:
+
+            def of(node: Any, parent_key: Hashable = None):
+                return key_of(node), False
+
+            self.decode = lambda key: key
+            self.blobs = False
+        self.of = of
+        self._stats = stats = packed.stats if self.canonical else None
+        self._seen0 = (stats.hits, stats.misses) if self.canonical else (0, 0)
+
+    def cache_activity(self) -> tuple[int, int]:
+        """Orbit-cache ``(hits, misses)`` since this keyer was built (the
+        space's canonicalizer outlives one exploration)."""
+        stats = self._stats
+        if stats is None:
+            return 0, 0
+        return stats.hits - self._seen0[0], stats.misses - self._seen0[1]
+
+
+def search(
+    space: StateSpace,
+    keys: NodeKeys,
+    visited: Any,
+    *,
+    strategy: str = BFS,
+    max_depth: int | None,
+    max_states: int | None,
+    max_seconds: float | None,
+    started: float,
+    on_visit: Callable[[Hashable, int], None] | None = None,
+    handoff: int | None = None,
+    phases: _PhaseClock | None = None,
+) -> tuple[ExplorationStats, deque[tuple[Any, int]], list[int]]:
+    """The in-process frontier loop: the one admission path.
+
+    Admits ``space``'s nodes into ``visited`` (``add`` / ``add_packed``,
+    ``in`` / ``contains_packed``, ``len``, ``bytes_per_state``) through
+    ``keys.of``, in frontier order, until the frontier is exhausted or a
+    bound cuts the search: the first-seen member of an orbit is the one
+    expanded, and ``max_states`` stops at the first fresh state over the
+    budget (duplicates examined before it still count as dedup hits).
+    :func:`explore` runs it to the end over the space's own store; the
+    sharded engine runs it as its warm start over wire digests.
+
+    ``handoff`` (BFS only) stops at the first level holding at least that
+    many nodes that ``max_depth`` would still expand, and leaves the
+    level in the returned frontier, in admission order.  A state's rank
+    is its admission index, so the frontier holds the last
+    ``len(frontier)`` ranks.  With ``handoff`` the third result lists the
+    size of every level entered (fully admitted, by BFS order); a
+    frontier returned non-empty is always a handoff -- a truncated search
+    returns it empty.
+    """
+    successors = space.successors
+    key_of = keys.of
+    if keys.blobs:
+        add, contains = visited.add_packed, visited.contains_packed
+    else:
+        add, contains = visited.add, visited.__contains__
+    if phases is not None:
+        successors = phases.successors(successors)
+        if keys.canonical:
+            key_of = phases.canonicalizer(key_of)
+        add = phases.adder(add)
+    decode = keys.decode
+    frontier: deque[tuple[Any, int]] = deque()
+
+    def admit(
+        nodes: Iterable[Any], parent_key: Hashable, depth: int
+    ) -> tuple[int, int, int, bool]:
+        """Admit ``nodes`` (the roots, or one node's successors) at
+        ``depth``: ``(examined, duplicates, orbit rewrites, within
+        budget)``."""
+        examined = duplicates = rewrites = 0
+        for node in nodes:
+            examined += 1
+            dkey, rewritten = key_of(node, parent_key)
+            if rewritten:
+                rewrites += 1
+            if max_states is not None and len(visited) >= max_states:
+                if contains(dkey):
+                    duplicates += 1
+                    continue
+                return examined, duplicates, rewrites, False
+            if not add(dkey)[1]:
+                duplicates += 1
+                continue
+            if on_visit is not None:
+                on_visit(decode(dkey), depth)
+            # The frontier keeps the first-seen orbit member: ``node``
+            # is reachable by construction, while the canonical
+            # representative may be a renaming never actually executed.
+            frontier.append((node, depth))
+        return examined, duplicates, rewrites, True
+
+    # Roots are the successors of nothing; they are neither transitions
+    # nor dedup hits.
+    _, _, orbit_reductions, within = admit(space.roots(), None, 0)
+    cause = None if within else TRUNCATED_BY_STATES
+    peak_frontier = len(frontier)
+    expansions = transitions = dedup_hits = depth_reached = 0
+    depth_limited = False
+    levels: list[int] = []
+    parent_key_of = space.key
+    pop = frontier.popleft if strategy == BFS else frontier.pop
+    while frontier and cause is None:
+        if (
+            max_seconds is not None
+            and time.perf_counter() - started > max_seconds
+        ):
+            cause = TRUNCATED_BY_TIME
+            break
+        node, depth = pop()
+        if depth > depth_reached:
+            depth_reached = depth
+        if handoff is not None and depth == len(levels):
+            # A BFS level edge: ``node`` plus the frontier is exactly
+            # level ``depth``, all of it admitted, none of it expanded.
+            levels.append(len(frontier) + 1)
+            if levels[-1] >= handoff and (
+                max_depth is None or depth < max_depth
+            ):
+                frontier.appendleft((node, depth))
+                break
+        if max_depth is not None and depth >= max_depth:
+            depth_limited = True
+            continue
+        expansions += 1
+        examined, duplicates, rewrites, within = admit(
+            successors(node), parent_key_of(node), depth + 1
+        )
+        transitions += examined
+        dedup_hits += duplicates
+        orbit_reductions += rewrites
+        if not within:
+            cause = TRUNCATED_BY_STATES
+            break
+        peak_frontier = max(peak_frontier, len(frontier))
+    if cause is not None:
+        frontier.clear()
+
+    elapsed = time.perf_counter() - started
+    canon_cache_hits, canon_cache_misses = keys.cache_activity()
+    stats = ExplorationStats(
+        strategy=strategy,
+        states=len(visited),
+        expansions=expansions,
+        transitions=transitions,
+        dedup_hits=dedup_hits,
+        depth_reached=depth_reached,
+        depth_limited=depth_limited,
+        peak_frontier=peak_frontier,
+        elapsed_seconds=elapsed,
+        truncated=cause is not None,
+        truncation_cause=cause,
+        orbit_reductions=orbit_reductions,
+        bytes_per_state=visited.bytes_per_state,
+        canon_cache_hits=canon_cache_hits,
+        canon_cache_misses=canon_cache_misses,
+        profile=phases.profile(elapsed) if phases is not None else None,
+    )
+    return stats, frontier, levels
+
+
 def explore(
     space: StateSpace,
     *,
@@ -357,13 +645,15 @@ def explore(
     first, so a killed exploration continues to the identical visited
     set and :meth:`Exploration.content_digest`.
 
-    Symmetric spaces canonicalize on the fast path when they expose a
-    ``packed_canon`` (see :mod:`repro.explore.packed`): successors are
-    encoded once into packed token streams, orbit representatives come
-    from a blob-keyed cache or an incremental patch of the parent's
-    candidate vectors, and the canonical *blob* enters the visited store
-    directly -- the legacy ``canonical_key`` object path is kept for
-    spaces without one.
+    How a node becomes a dedup key is decided once, by
+    :class:`NodeKeys`, from the hooks the space publishes: ``codec``
+    (visited keys are interned as packed blobs), ``packed_canon``
+    (symmetric spaces: the canonical orbit representative's blob, from a
+    blob-keyed cache or an incremental patch of the parent's candidate
+    vectors -- see :mod:`repro.explore.packed`), and ``tokens_of`` /
+    ``delta_of`` (what a node already knows about its key).  A space
+    that quotients by some other map wraps it in a
+    :class:`~repro.explore.packed.CachedCanonicalizer`.
     """
     if strategy not in (BFS, DFS):
         raise ValueError(f"unknown frontier strategy {strategy!r}")
@@ -399,215 +689,18 @@ def explore(
     from repro.explore.store import make_visited_store
 
     started = time.perf_counter()
-    canon = getattr(space, "canonical_key", None)
-    visited = make_visited_store(getattr(space, "codec", None))
-    packed = getattr(space, "packed_canon", None)
-    tokens_of = getattr(space, "tokens_of", None)
-    if not hasattr(visited, "add_packed"):
-        packed = tokens_of = None  # both need the interned store
-    pack = getattr(getattr(visited, "codec", None), "pack", None)
-    if pack is None:
-        tokens_of = None  # a plain StateCodec cannot pack a token stream
-    delta_of = getattr(space, "delta_of", None) if packed else None
-    #: the visited store takes blobs: canonical ones from ``packed``, or
-    #: the node's own token stream packed as is (exact spaces)
-    blobs = packed is not None or tokens_of is not None
-    cache_hits0 = packed.stats.hits if packed is not None else 0
-    cache_misses0 = packed.stats.misses if packed is not None else 0
-    frontier: deque[tuple[Any, int]] = deque()
-    truncated = False
-    truncation_cause: str | None = None
-    depth_reached = 0
-    depth_limited = False
-    expansions = 0
-    transitions = 0
-    dedup_hits = 0
-    orbit_reductions = 0
-    clock = time.perf_counter if profile else None
-    expand_s = canon_s = store_s = dedup_s = 0.0
-
-    for root in space.roots():
-        key = space.key(root)
-        if blobs:
-            tokens = tokens_of(root) if tokens_of is not None else None
-            if packed is not None:
-                if clock:
-                    t0 = clock()
-                cblob, rewritten = packed.canonicalize(key, tokens=tokens)
-                if clock:
-                    canon_s += clock() - t0
-            else:
-                cblob, rewritten = pack(tokens), False
-            if rewritten:
-                orbit_reductions += 1
-            if max_states is not None and len(visited) >= max_states:
-                if visited.contains_packed(cblob):
-                    continue
-                truncated = True
-                truncation_cause = TRUNCATED_BY_STATES
-                break
-            _ident, fresh = visited.add_packed(cblob)
-            if not fresh:
-                continue
-            if on_visit is not None:
-                on_visit(packed.decode(cblob) if rewritten else key, 0)
-        else:
-            if canon is not None:
-                canonical = canon(key)
-                if canonical is not key:
-                    orbit_reductions += 1
-                key = canonical
-            if max_states is not None and len(visited) >= max_states:
-                if key in visited:
-                    continue
-                truncated = True
-                truncation_cause = TRUNCATED_BY_STATES
-                break
-            _ident, fresh = visited.add(key)
-            if not fresh:
-                continue
-            if on_visit is not None:
-                on_visit(key, 0)
-        frontier.append((root, 0))
-
-    peak_frontier = len(frontier)
-    pop = frontier.popleft if strategy == BFS else frontier.pop
-    while frontier:
-        if (
-            max_seconds is not None
-            and time.perf_counter() - started > max_seconds
-        ):
-            truncated = True
-            truncation_cause = TRUNCATED_BY_TIME
-            break
-        node, depth = pop()
-        depth_reached = max(depth_reached, depth)
-        if max_depth is not None and depth >= max_depth:
-            depth_limited = True
-            continue
-        expansions += 1
-        parent_key = space.key(node) if packed is not None else None
-        succs = iter(space.successors(node))
-        while True:
-            if clock:
-                t0 = clock()
-            succ = next(succs, _DONE)
-            if clock:
-                expand_s += clock() - t0
-            if succ is _DONE:
-                break
-            transitions += 1
-            key = space.key(succ)
-            if blobs:
-                tokens = tokens_of(succ) if tokens_of is not None else None
-                if packed is not None:
-                    delta = delta_of(succ) if delta_of is not None else None
-                    if clock:
-                        t0 = clock()
-                    cblob, rewritten = packed.canonicalize(
-                        key, parent_key, delta, tokens
-                    )
-                    if clock:
-                        canon_s += clock() - t0
-                else:
-                    cblob, rewritten = pack(tokens), False
-                if rewritten:
-                    orbit_reductions += 1
-                if max_states is not None and len(visited) >= max_states:
-                    if visited.contains_packed(cblob):
-                        dedup_hits += 1
-                        continue
-                    truncated = True
-                    truncation_cause = TRUNCATED_BY_STATES
-                    frontier.clear()
-                    break
-                if clock:
-                    t0 = clock()
-                _ident, fresh = visited.add_packed(cblob)
-                if clock:
-                    if fresh:
-                        store_s += clock() - t0
-                    else:
-                        dedup_s += clock() - t0
-                if not fresh:
-                    dedup_hits += 1
-                    continue
-                if on_visit is not None:
-                    on_visit(
-                        packed.decode(cblob) if rewritten else key,
-                        depth + 1,
-                    )
-            else:
-                if canon is not None:
-                    if clock:
-                        t0 = clock()
-                    canonical = canon(key)
-                    if clock:
-                        canon_s += clock() - t0
-                    if canonical is not key:
-                        orbit_reductions += 1
-                    key = canonical
-                if max_states is not None and len(visited) >= max_states:
-                    if key in visited:
-                        dedup_hits += 1
-                        continue
-                    truncated = True
-                    truncation_cause = TRUNCATED_BY_STATES
-                    frontier.clear()
-                    break
-                if clock:
-                    t0 = clock()
-                _ident, fresh = visited.add(key)
-                if clock:
-                    if fresh:
-                        store_s += clock() - t0
-                    else:
-                        dedup_s += clock() - t0
-                if not fresh:
-                    dedup_hits += 1
-                    continue
-                if on_visit is not None:
-                    on_visit(key, depth + 1)
-            # The frontier keeps the first-seen orbit member: ``succ``
-            # is reachable by construction, while the canonical
-            # representative may be a renaming never actually executed.
-            frontier.append((succ, depth + 1))
-        peak_frontier = max(peak_frontier, len(frontier))
-
-    elapsed = time.perf_counter() - started
-    stats = ExplorationStats(
+    codec = getattr(space, "codec", None)
+    visited = make_visited_store(codec)
+    stats, _frontier, _levels = search(
+        space,
+        NodeKeys(space, codec),
+        visited,
         strategy=strategy,
-        states=len(visited),
-        expansions=expansions,
-        transitions=transitions,
-        dedup_hits=dedup_hits,
-        depth_reached=depth_reached,
-        depth_limited=depth_limited,
-        peak_frontier=peak_frontier,
-        elapsed_seconds=elapsed,
-        truncated=truncated,
-        truncation_cause=truncation_cause,
-        workers=1,
-        orbit_reductions=orbit_reductions,
-        bytes_per_state=visited.bytes_per_state,
-        canon_cache_hits=(
-            packed.stats.hits - cache_hits0 if packed is not None else 0
-        ),
-        canon_cache_misses=(
-            packed.stats.misses - cache_misses0
-            if packed is not None
-            else 0
-        ),
-        profile=(
-            PhaseProfile(
-                expand_seconds=expand_s,
-                canonicalize_seconds=canon_s,
-                store_seconds=store_s,
-                dedup_seconds=dedup_s,
-                elapsed_seconds=elapsed,
-            )
-            if profile
-            else None
-        ),
+        max_depth=max_depth,
+        max_states=max_states,
+        max_seconds=max_seconds,
+        started=started,
+        on_visit=on_visit,
+        phases=_PhaseClock() if profile else None,
     )
     return visited.into_exploration(stats)

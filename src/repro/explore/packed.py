@@ -474,25 +474,8 @@ class PackedGlobalCanonicalizer:
             out.append(tok_vec[nproc + c])
         return array(_TYPECODE, out).tobytes()
 
-    # -- object-level conveniences ----------------------------------------
-
     def decode(self, blob: bytes) -> GlobalState:
         return self.codec.decode(blob)
-
-    def canonical_state(
-        self,
-        state: GlobalState,
-        parent_key: GlobalState | None = None,
-        delta: Delta | None = None,
-    ) -> tuple[GlobalState, bool]:
-        """Object-level variant: ``(canonical state, rewritten)``.
-
-        Returns ``state`` itself when it already is the representative
-        (pool workers ship this across the pipe)."""
-        blob, rewritten = self.canonicalize(state, parent_key, delta)
-        if not rewritten:
-            return state, False
-        return self.codec.decode(blob), True
 
 
 class CachedCanonicalizer:
@@ -502,7 +485,7 @@ class CachedCanonicalizer:
     machinery above would be overkill -- but the engine still examines
     every duplicate successor, and this wrapper turns each repeat into
     one packed-blob dict hit.  Exposes the same ``canonicalize`` /
-    ``canonical_state`` / ``decode`` surface as
+    ``decode`` surface as
     :class:`PackedGlobalCanonicalizer` (the delta and token arguments
     are accepted and ignored).
     """
@@ -540,17 +523,6 @@ class CachedCanonicalizer:
             self._cache.setdefault(result[0], (result[0], False))
         self._cache[blob] = result
         return result
-
-    def canonical_state(
-        self,
-        key: Hashable,
-        parent_key: Hashable | None = None,
-        delta: Any = None,
-    ) -> tuple[Any, bool]:
-        blob, rewritten = self.canonicalize(key, parent_key, delta)
-        if not rewritten:
-            return key, False
-        return self.codec.decode(blob), True
 
     def decode(self, blob: bytes) -> Hashable:
         return self.codec.decode(blob)

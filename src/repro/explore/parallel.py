@@ -25,11 +25,12 @@ edge, and the admitted set, the expanded members -- and even the
 bit, on every run, at any worker count.  Expansion and dedup stay
 fully pipelined *within* a level; only the rank merge synchronises.
 
-**Warm start.**  Tiny frontiers are expanded in-process with exact
-serial semantics until a BFS level reaches ~2x the worker count; only
-then is the accumulated visited set handed to the shards.  Small
-spaces (and explorations truncated early) never pay for the pool at
-all.
+**Warm start.**  Tiny frontiers are expanded in-process by the serial
+engine's own loop (:func:`repro.explore.engine.search`, run over wire
+digests) until a BFS level reaches ~2x the worker count; only then is
+the accumulated visited set handed to the shards.  Small spaces (and
+explorations truncated early) never pay for the pool at all, and report
+exactly the serial run's counters.
 
 **Durability.**  With a ``store_dir`` each shard appends its admitted
 states to its own journal (:mod:`repro.explore.shard`) and the store
@@ -55,8 +56,16 @@ import queue as queue_mod
 import time
 import traceback
 from collections.abc import Callable, Hashable, Iterable, Iterator
+from dataclasses import replace
 from typing import Any
 
+from repro.explore.engine import (
+    TRUNCATED_BY_STATES,
+    TRUNCATED_BY_TIME,
+    ExplorationStats,
+    NodeKeys,
+    search,
+)
 from repro.explore.shard import (
     COORDINATOR_LOG,
     ShardLog,
@@ -87,75 +96,74 @@ SEED_BATCH_SIZE = 256
 #: states per worker (the adaptive serial fallback for small frontiers).
 WARM_LEVEL_FACTOR = 2
 
-#: Orbit-blob -> wire-blob memo bound (see :class:`_WireCanon`).
+#: Orbit-blob -> wire-blob memo bound (see :class:`_WireKeys`).
 _MEMO_MAX = 1 << 18
 
+#: The in-process phase's counters on a resumed run: there is none.
+_NO_WARM_START = ExplorationStats(
+    strategy="bfs",
+    states=0,
+    expansions=0,
+    transitions=0,
+    dedup_hits=0,
+    depth_reached=0,
+    depth_limited=False,
+    peak_frontier=0,
+    elapsed_seconds=0.0,
+    truncated=False,
+    truncation_cause=None,
+)
 
-class _WireCanon:
-    """``key -> (canonical wire blob, digest, rewritten)`` for one process.
 
-    Bridges a space's canonicalizer (packed fast path when available,
-    object-level ``canonical_key`` otherwise, identity for exact
-    spaces) to the cross-process wire encoding.  A bounded memo maps
-    canonical packed blobs to their wire form, so duplicate successors
-    -- the majority of examined edges -- cost one dict hit instead of a
-    decode + re-encode.
+class _WireKeys(NodeKeys):
+    """:class:`~repro.explore.engine.NodeKeys` rendered for the wire.
+
+    ``of(node, parent_key) -> ((canonical wire blob, digest),
+    rewritten)``: the space's dedup key (there is no interned store on
+    this side, so an exact space's is its plain key) in the
+    cross-process encoding, with the 128-bit digest the shards route and
+    deduplicate by.  A bounded memo maps canonical packed blobs to their
+    wire form, so duplicate successors -- the majority of examined edges
+    -- cost one dict hit instead of a decode + re-encode.
     """
 
-    __slots__ = ("packed", "canon", "wire", "_memo")
+    __slots__ = ("wire",)
 
     def __init__(self, space: StateSpace):
-        self.packed = getattr(space, "packed_canon", None)
-        self.canon = (
-            getattr(space, "canonical_key", None)
-            if self.packed is None
-            else None
-        )
-        self.wire = WireCodec()
-        self._memo: dict[bytes, tuple[bytes, bytes]] = {}
+        super().__init__(space)
+        self.wire = wire = WireCodec()
+        dedup_key_of, decode = self.of, self.decode
+        memo: dict[bytes, tuple[bytes, bytes]] = {}
 
-    def convert(
-        self,
-        key: Hashable,
-        parent_key: Hashable = None,
-        delta: Any = None,
-        tokens: Any = None,
-    ) -> tuple[bytes, bytes, bool]:
-        packed = self.packed
-        if packed is not None:
-            cblob, rewritten = packed.canonicalize(
-                key, parent_key, delta, tokens
-            )
-            hit = self._memo.get(cblob)
+        def of_key(node: Any, parent_key: Hashable = None):
+            key, rewritten = dedup_key_of(node, parent_key)
+            blob = wire.encode(key)
+            return (blob, wire_digest(blob)), rewritten
+
+        def of_packed(node: Any, parent_key: Hashable = None):
+            cblob, rewritten = dedup_key_of(node, parent_key)
+            hit = memo.get(cblob)
             if hit is None:
-                if len(self._memo) >= _MEMO_MAX:
-                    self._memo.clear()
-                blob = self.wire.encode(packed.decode(cblob))
-                hit = (blob, wire_digest(blob))
-                self._memo[cblob] = hit
-            return hit[0], hit[1], rewritten
-        rewritten = False
-        if self.canon is not None:
-            canonical = self.canon(key)
-            rewritten = canonical is not key
-            key = canonical
-        blob = self.wire.encode(key)
-        return blob, wire_digest(blob), rewritten
+                if len(memo) >= _MEMO_MAX:
+                    memo.clear()
+                blob = wire.encode(decode(cblob))
+                hit = memo[cblob] = (blob, wire_digest(blob))
+            return hit, rewritten
 
-    def cache_counts(self) -> tuple[int, int]:
-        if self.packed is None:
-            return 0, 0
-        return self.packed.stats.hits, self.packed.stats.misses
+        self.of = of_packed if self.blobs else of_key
+        self.blobs = False  # a wire key is no interned blob: ``add`` it
+        self.decode = lambda wire_key: wire.decode(wire_key[0])
 
 
-def _space_signature(space: StateSpace, max_depth: int | None) -> str:
+def _space_signature(
+    space: StateSpace, wire_keys: _WireKeys, max_depth: int | None
+) -> str:
     """A cheap fingerprint of the exploration *problem* -- pins a run
     directory to one space configuration and depth bound."""
-    wc = _WireCanon(space)
     xor = 0
     count = 0
     for root in space.roots():
-        _blob, digest, _rw = wc.convert(space.key(root))
+        (_blob, digest), _rewritten = wire_keys.of(root)
         xor ^= int.from_bytes(digest, "little")
         count += 1
     group = len(getattr(space, "symmetry_group", ()) or ())
@@ -165,200 +173,24 @@ def _space_signature(space: StateSpace, max_depth: int | None) -> str:
     )
 
 
-# -- warm start (adaptive in-process phase) --------------------------------
+def _committed_states(
+    blobs: list[bytes], levels: list[int], members: dict[int, bytes]
+) -> Iterator[tuple[bytes, int, int, bytes, bytes | None]]:
+    """``(digest, rank, depth, canonical_blob, member_blob)`` for every
+    warm-start state on a fully admitted level (the shape
+    :func:`~repro.explore.shard.replay_admits` yields on resume).
 
-
-class _WarmResult:
-    """Outcome of the in-process phase: counters plus either a finished
-    visited set or a ranked handoff for the shards.
-
-    States are admitted in serial BFS order, so a state's index in
-    ``blobs`` *is* its global rank.  ``commit_through`` is the highest
-    fully-admitted level (the handoff frontier level, or for finished
-    runs one past the last level so resume finds an empty frontier);
-    ``members`` maps a frontier rank to its first-seen member blob when
-    symmetry rewriting made it differ from the canonical blob.
+    The warm start admits in serial BFS order, so a state's index in
+    ``blobs`` is its global rank and ``levels`` -- the level sizes --
+    cut the ranks into depths; blobs past ``sum(levels)`` belong to a
+    level a truncation left partial, which is not checkpointable.
     """
-
-    __slots__ = (
-        "finished",
-        "blobs",
-        "digest_list",
-        "depths",
-        "digests",
-        "members",
-        "commit_through",
-        "xor",
-        "payload_bytes",
-        "expansions",
-        "transitions",
-        "dedup_hits",
-        "orbit_reductions",
-        "peak_frontier",
-        "depth_reached",
-        "depth_limited",
-        "truncated",
-        "truncation_cause",
-    )
-
-    def __init__(self) -> None:
-        self.finished = False
-        self.blobs: list[bytes] = []
-        self.digest_list: list[bytes] = []
-        self.depths: list[int] = []
-        self.digests: dict[bytes, int] = {}
-        self.members: dict[int, bytes] = {}
-        self.commit_through = -1
-        self.xor = 0
-        self.payload_bytes = 0
-        self.expansions = 0
-        self.transitions = 0
-        self.dedup_hits = 0
-        self.orbit_reductions = 0
-        self.peak_frontier = 0
-        self.depth_reached = 0
-        self.depth_limited = False
-        self.truncated = False
-        self.truncation_cause: str | None = None
-
-    def seed_items(
-        self,
-    ) -> Iterator[tuple[bytes, int, int, bytes, bytes | None, bool]]:
-        """``(digest, rank, depth, canonical_blob, member_blob,
-        is_frontier)`` for every committed state."""
-        frontier_level = self.commit_through
-        for rank, blob in enumerate(self.blobs):
-            depth = self.depths[rank]
-            if depth > frontier_level:
-                continue
-            yield (
-                self.digest_list[rank],
-                rank,
-                depth,
-                blob,
-                self.members.get(rank),
-                depth == frontier_level,
-            )
-
-
-def _warm_start(
-    space: StateSpace,
-    wc: _WireCanon,
-    *,
-    threshold: int,
-    max_depth: int | None,
-    max_states: int | None,
-    max_seconds: float | None,
-    started: float,
-) -> _WarmResult:
-    """Serial-semantics level BFS until the frontier outgrows
-    ``threshold`` (handoff) or the exploration ends (finished)."""
-    from repro.explore.engine import TRUNCATED_BY_STATES, TRUNCATED_BY_TIME
-
-    out = _WarmResult()
-    delta_of = getattr(space, "delta_of", None)
-    tokens_of = getattr(space, "tokens_of", None)
-    key_of = space.key
-
-    def admit(blob: bytes, digest: bytes, depth: int) -> int | None:
-        rank = out.digests.get(digest)
-        if rank is not None:
-            return None
-        rank = len(out.blobs)
-        out.digests[digest] = rank
-        out.digest_list.append(digest)
-        out.blobs.append(blob)
-        out.depths.append(depth)
-        out.xor ^= int.from_bytes(digest, "little")
-        out.payload_bytes += len(blob)
-        return rank
-
-    level: list[tuple[Any, int]] = []
-    for root in space.roots():
-        blob, digest, rewritten = wc.convert(
-            key_of(root),
-            tokens=tokens_of(root) if tokens_of is not None else None,
-        )
-        out.orbit_reductions += rewritten
-        if max_states is not None and len(out.digests) >= max_states:
-            if digest in out.digests:
-                continue
-            out.truncated = True
-            out.truncation_cause = TRUNCATED_BY_STATES
-            break
-        rank = admit(blob, digest, 0)
-        if rank is not None:
-            level.append((root, rank))
-    out.peak_frontier = len(level)
-
-    depth = 0
-    while level and not out.truncated:
-        out.commit_through = depth
-        out.depth_reached = max(out.depth_reached, depth)
-        if max_depth is not None and depth >= max_depth:
-            out.depth_limited = True
-            break
-        if len(level) >= threshold:
-            # Handoff: this level expands on the shards.  Record the
-            # first-seen members the serial contract says the shards
-            # must expand (non-equivariance: the canonical blob may
-            # behave differently from the state actually reached).
-            for node, rank in level:
-                member = wc.wire.encode(key_of(node))
-                if member != out.blobs[rank]:
-                    out.members[rank] = member
-            return out
-        next_level: list[tuple[Any, int]] = []
-        for consumed, (node, rank) in enumerate(level, 1):
-            if (
-                max_seconds is not None
-                and time.perf_counter() - started > max_seconds
-            ):
-                out.truncated = True
-                out.truncation_cause = TRUNCATED_BY_TIME
-                break
-            out.expansions += 1
-            parent_key = key_of(node)
-            for succ in space.successors(node):
-                out.transitions += 1
-                blob, digest, rewritten = wc.convert(
-                    key_of(succ),
-                    parent_key,
-                    delta_of(succ) if delta_of is not None else None,
-                    tokens_of(succ) if tokens_of is not None else None,
-                )
-                out.orbit_reductions += rewritten
-                if (
-                    max_states is not None
-                    and len(out.digests) >= max_states
-                ):
-                    if digest in out.digests:
-                        out.dedup_hits += 1
-                        continue
-                    out.truncated = True
-                    out.truncation_cause = TRUNCATED_BY_STATES
-                    break
-                child = admit(blob, digest, depth + 1)
-                if child is None:
-                    out.dedup_hits += 1
-                    continue
-                next_level.append((succ, child))
-            out.peak_frontier = max(
-                out.peak_frontier,
-                len(level) - consumed + len(next_level),
-            )
-            if out.truncated:
-                break
-        level = next_level if not out.truncated else []
-        depth += 1
-
-    if not out.truncated and not out.depth_limited:
-        # Natural completion: commit one final *empty* level, so a
-        # resume of this directory finds an empty frontier and returns
-        # the finished set without re-expanding anything.
-        out.commit_through = depth
-    out.finished = True
-    return out
+    base = 0
+    for depth, size in enumerate(levels):
+        for rank in range(base, base + size):
+            blob = blobs[rank]
+            yield wire_digest(blob), rank, depth, blob, members.get(rank)
+        base += size
 
 
 # -- worker process --------------------------------------------------------
@@ -385,11 +217,10 @@ class _Shard:
         self.parent_pid = os.getppid()
         self.log = ShardLog(log_path) if log_path is not None else None
         self.store = ShardStore(keep_blobs=self.log is None)
-        self.wc = _WireCanon(space)
-        self.canon0 = self.wc.cache_counts()
+        self.wire_keys = _WireKeys(space)
+        #: decoded member key -> expandable node; without the hook the
+        #: space's nodes are its keys (``successors_of_key`` yields them)
         self.node_of = getattr(space, "node_of_key", None)
-        self.delta_of = getattr(space, "delta_of", None)
-        self.tokens_of = getattr(space, "tokens_of", None)
 
         #: (global rank, member blob) -- the level currently owed
         #: expansion.
@@ -457,19 +288,17 @@ class _Shard:
 
     def expand_level(self, level: int) -> None:
         """Expand every frontier member, routing proposals by digest."""
-        wc = self.wc
         space = self.space
-        key_of = space.key
+        wire_key_of = self.wire_keys.of
+        wire = self.wire_keys.wire
         node_of = self.node_of
-        delta_of = self.delta_of
-        tokens_of = self.tokens_of
         out: list[list] = [[] for _ in range(self.shards)]
         counts = [0] * self.shards
         for rank, member_blob in self.frontier:
             if self.halted or self.stopping:
                 return
             self.expansions += 1
-            state = wc.wire.decode(member_blob)
+            state = wire.decode(member_blob)
             if node_of is not None:
                 succs: Iterable[Any] = space.successors(node_of(state))
             else:
@@ -477,20 +306,11 @@ class _Shard:
             cand = 0
             for succ in succs:
                 self.transitions += 1
-                delta = tokens = None
-                if node_of is not None:
-                    skey = key_of(succ)
-                    if delta_of is not None:
-                        delta = delta_of(succ)
-                    if tokens_of is not None:
-                        tokens = tokens_of(succ)
-                else:
-                    skey = succ
-                cblob, digest, rewritten = wc.convert(
-                    skey, state, delta, tokens
-                )
-                self.orbit_reductions += rewritten
-                member = wc.wire.encode(skey) if rewritten else None
+                (cblob, digest), rewritten = wire_key_of(succ, state)
+                member = None
+                if rewritten:
+                    self.orbit_reductions += 1
+                    member = wire.encode(space.key(succ))
                 item = (digest, rank, cand, cblob, member)
                 cand += 1
                 dest = shard_of(digest, self.shards)
@@ -597,7 +417,7 @@ class _Shard:
                 self.coord_q.put(
                     ("DIGESTS", self.wid, digests[start : start + step])
                 )
-        canon_hits, canon_misses = self.wc.cache_counts()
+        canon_hits, canon_misses = self.wire_keys.cache_activity()
         self.coord_q.put(
             (
                 "DONE",
@@ -608,8 +428,8 @@ class _Shard:
                     "transitions": self.transitions,
                     "dedup_hits": self.dedup_hits,
                     "orbit_reductions": self.orbit_reductions,
-                    "canon_hits": canon_hits - self.canon0[0],
-                    "canon_misses": canon_misses - self.canon0[1],
+                    "canon_hits": canon_hits,
+                    "canon_misses": canon_misses,
                     "batches": self.sent_batches,
                     "payload_bytes": store.payload_bytes,
                     "xor": store.xor,
@@ -648,21 +468,18 @@ def _worker_main(
 # -- coordinator -----------------------------------------------------------
 
 
-def _route_seeds(inboxes: list, shards: int, items: Iterable[tuple]) -> int:
-    """Batch seed tuples to their owners; returns states routed."""
+def _route_seeds(inboxes: list, shards: int, items: Iterable[tuple]) -> None:
+    """Batch seed tuples to their owners."""
     buffers: list[list] = [[] for _ in range(shards)]
-    routed = 0
     for item in items:
         dest = shard_of(item[0], shards)
         buffers[dest].append(item)
-        routed += 1
         if len(buffers[dest]) >= SEED_BATCH_SIZE:
             inboxes[dest].put(("SEED", buffers[dest]))
             buffers[dest] = []
     for dest in range(shards):
         if buffers[dest]:
             inboxes[dest].put(("SEED", buffers[dest]))
-    return routed
 
 
 def _merge_ranks(
@@ -712,12 +529,6 @@ def explore_parallel(
     """
     import multiprocessing
 
-    from repro.explore.engine import (
-        TRUNCATED_BY_STATES,
-        TRUNCATED_BY_TIME,
-        ExplorationStats,
-    )
-
     if on_visit is not None:
         return None
     if not hasattr(space, "successors_of_key"):
@@ -729,14 +540,15 @@ def explore_parallel(
 
     started = time.perf_counter()
     shards = max(1, workers)
-    wc = _WireCanon(space)
-    canon0 = wc.cache_counts()
+    wire_keys = _WireKeys(space)
 
     # -- durable run directory --------------------------------------------
     coord_log: ShardLog | None = None
     committed = -1
     if store_dir is not None:
-        prepare_run_dir(store_dir, _space_signature(space, max_depth))
+        prepare_run_dir(
+            store_dir, _space_signature(space, wire_keys, max_depth)
+        )
         for path in run_dir_logs(store_dir):
             # A fresh run restarts the directory; a resume only trims
             # torn record tails so appends stay frame-aligned.
@@ -749,68 +561,73 @@ def explore_parallel(
     resuming = committed >= 0
 
     # -- warm start / seed derivation -------------------------------------
-    warm: _WarmResult | None = None
-    if not resuming:
-        warm = _warm_start(
+    if resuming:
+        warm = _NO_WARM_START
+        frontier_level = committed
+        seeds = replay_admits(run_dir_logs(store_dir), committed)
+    else:
+        # The serial engine's own loop, over wire digests, until a level
+        # is worth sharding: ranks are admission order, and the level it
+        # stops at is what is left in the frontier.
+        store = ShardStore(keep_blobs=True)
+        warm, frontier, levels = search(
             space,
-            wc,
-            threshold=WARM_LEVEL_FACTOR * shards,
+            wire_keys,
+            store,
             max_depth=max_depth,
             max_states=max_states,
             max_seconds=max_seconds,
             started=started,
+            handoff=WARM_LEVEL_FACTOR * shards,
         )
+        #: rank -> first-seen member blob, where symmetry rewriting made
+        #: it differ from the canonical blob.  The serial contract says
+        #: the shards must expand these (non-equivariance: the canonical
+        #: state may behave differently from the state actually reached).
+        members: dict[int, bytes] = {}
+        for rank, (node, _depth) in enumerate(
+            frontier, len(store) - len(frontier)
+        ):
+            member = wire_keys.wire.encode(space.key(node))
+            if member != store.blobs[rank]:
+                members[rank] = member
+        if not (frontier or warm.truncated or warm.depth_limited):
+            # Natural completion: commit one final *empty* level, so a
+            # resume of this directory finds an empty frontier and
+            # returns the finished set without re-expanding anything.
+            levels.append(0)
         if coord_log is not None:
-            for rank, blob in enumerate(warm.blobs):
-                depth = warm.depths[rank]
-                if depth > warm.commit_through:
-                    continue  # truncated mid-level: not checkpointable
-                coord_log.append(
-                    REC_ADMIT, depth, rank, warm.digest_list[rank] + blob
-                )
-                member = warm.members.get(rank)
+            for digest, rank, depth, blob, member in _committed_states(
+                store.blobs, levels, members
+            ):
+                coord_log.append(REC_ADMIT, depth, rank, digest + blob)
                 if member is not None:
                     coord_log.append(REC_MEMBER, depth, rank, member)
-            for lvl in range(warm.commit_through + 1):
-                admitted = sum(
-                    1
-                    for depth in warm.depths
-                    if depth == lvl
-                )
+            for depth, size in enumerate(levels):
                 coord_log.append(
-                    REC_COMMIT, lvl, 0, admitted.to_bytes(8, "little")
+                    REC_COMMIT, depth, 0, size.to_bytes(8, "little")
                 )
             coord_log.flush()
-        if warm.finished:
+        if not frontier:
+            # Finished (or truncated) in-process: no shard ever forked.
             if coord_log is not None:
                 coord_log.close()
-            canon_hits, canon_misses = wc.cache_counts()
             view = WireVisitedView(
-                set(warm.digests),
-                warm.blobs,
+                store.digests,
+                store.blobs,
                 None,
-                warm.payload_bytes,
-                warm.xor,
+                store.payload_bytes,
+                store.xor,
             )
-            stats = ExplorationStats(
-                strategy="bfs",
-                states=len(view),
-                expansions=warm.expansions,
-                transitions=warm.transitions,
-                dedup_hits=warm.dedup_hits,
-                depth_reached=warm.depth_reached,
-                depth_limited=warm.depth_limited,
-                peak_frontier=warm.peak_frontier,
-                elapsed_seconds=time.perf_counter() - started,
-                truncated=warm.truncated,
-                truncation_cause=warm.truncation_cause,
-                workers=workers,
-                orbit_reductions=warm.orbit_reductions,
-                bytes_per_state=view.bytes_per_state,
-                canon_cache_hits=canon_hits - canon0[0],
-                canon_cache_misses=canon_misses - canon0[1],
+            return view.into_exploration(
+                replace(
+                    warm,
+                    workers=workers,
+                    elapsed_seconds=time.perf_counter() - started,
+                )
             )
-            return view.into_exploration(stats)
+        frontier_level = len(levels) - 1
+        seeds = _committed_states(store.blobs, levels, members)
 
     # -- spin up the shards -----------------------------------------------
     inboxes = [ctx.Queue() for _ in range(shards)]
@@ -840,9 +657,6 @@ def explore_parallel(
     truncated = False
     truncation_cause: str | None = None
     depth_limited = False
-    resumed_states = 0
-    reexpansions = 0
-    seed_batches = 0
     level_sizes: list[int] = []
     halted = False
     try:
@@ -857,6 +671,35 @@ def explore_parallel(
                 and time.perf_counter() - started > max_seconds
             )
 
+        def receive(owing: Iterable[int]) -> tuple | None:
+            """One coordinator message, ``None`` after a quiet poll
+            interval.  Raises when a worker failed, or died while it
+            still owes a message (``owing``: those worker ids)."""
+            try:
+                message = coord_q.get(timeout=0.05)
+            except queue_mod.Empty:
+                dead = [
+                    procs[wid].pid
+                    for wid in owing
+                    if not procs[wid].is_alive()
+                ]
+                if not dead:
+                    return None
+                # A worker that exits right after its last message leaves
+                # it in the pipe: only a queue still empty *after* the
+                # death was seen means the message is lost.
+                try:
+                    message = coord_q.get(timeout=0.05)
+                except queue_mod.Empty:
+                    raise RuntimeError(
+                        f"exploration worker {dead[0]} died unexpectedly"
+                    ) from None
+            if message[0] == "ERR":
+                raise RuntimeError(
+                    f"exploration worker {message[1]} failed:\n{message[2]}"
+                )
+            return message
+
         def gather(kind: str, level: int) -> dict[int, Any] | None:
             """Collect one protocol message per shard; ``None`` means
             the run was halted (time budget) while waiting."""
@@ -869,56 +712,30 @@ def explore_parallel(
                     halted = True
                     broadcast(("HALT",))
                     return None
-                try:
-                    message = coord_q.get(timeout=0.05)
-                except queue_mod.Empty:
-                    for proc in procs:
-                        if not proc.is_alive():
-                            raise RuntimeError(
-                                f"exploration worker {proc.pid} died "
-                                "unexpectedly"
-                            ) from None
-                    continue
-                if message[0] == "ERR":
-                    raise RuntimeError(
-                        f"exploration worker {message[1]} failed:\n"
-                        f"{message[2]}"
-                    )
-                if message[0] == kind and message[2] == level:
+                message = receive(set(range(shards)) - out.keys())
+                if (
+                    message is not None
+                    and message[0] == kind
+                    and message[2] == level
+                ):
                     out[message[1]] = message[3]
             return out
 
         # -- seeding ------------------------------------------------------
-        if resuming:
-            frontier_level = committed
-            seeds = replay_admits(run_dir_logs(store_dir), committed)
-            frontier_total = 0
-            visited_total = 0
+        frontier_total = 0
+        visited_total = 0
 
-            def tag_frontier(items):
-                nonlocal frontier_total, visited_total
-                for digest, rank, depth, cblob, mblob in items:
-                    visited_total += 1
-                    is_front = depth == frontier_level
-                    frontier_total += is_front
-                    yield digest, rank, depth, cblob, mblob, is_front
+        def tag_frontier(items):
+            nonlocal frontier_total, visited_total
+            for digest, rank, depth, cblob, mblob in items:
+                visited_total += 1
+                is_front = depth == frontier_level
+                frontier_total += is_front
+                yield digest, rank, depth, cblob, mblob, is_front
 
-            _route_seeds(inboxes, shards, tag_frontier(seeds))
-            resumed_states = visited_total
-            reexpansions = frontier_total
-        else:
-            frontier_level = warm.commit_through
-            visited_total = sum(
-                1
-                for depth in warm.depths
-                if depth <= warm.commit_through
-            )
-            frontier_total = sum(
-                1
-                for depth in warm.depths
-                if depth == warm.commit_through
-            )
-            _route_seeds(inboxes, shards, warm.seed_items())
+        _route_seeds(inboxes, shards, tag_frontier(seeds))
+        resumed_states = visited_total if resuming else 0
+        reexpansions = frontier_total if resuming else 0
         next_rank = visited_total
         depth_reached = max(frontier_level, 0)
 
@@ -986,7 +803,11 @@ def explore_parallel(
         blobs: list[bytes] | None = None if store_dir is not None else []
         worker_stats: dict[int, dict] = {}
         while len(worker_stats) < shards:
-            message = coord_q.get(timeout=60.0)
+            # A worker may exit once its DONE is in; until then its
+            # death (say an OOM kill while shipping blobs) is a failure.
+            message = receive(set(range(shards)) - worker_stats.keys())
+            if message is None:
+                continue
             kind = message[0]
             if kind == "BLOBS":
                 for blob in message[2]:
@@ -998,10 +819,6 @@ def explore_parallel(
                     digests.add(raw[start : start + 16])
             elif kind == "DONE":
                 worker_stats[message[1]] = message[2]
-            elif kind == "ERR":
-                raise RuntimeError(
-                    f"exploration worker {message[1]} failed:\n{message[2]}"
-                )
             # stale LDONE/KEYS/LSTATS from a halted level are ignored
         for proc in procs:
             proc.join(timeout=10.0)
@@ -1020,52 +837,42 @@ def explore_parallel(
 
     # -- aggregation ------------------------------------------------------
     stats_by_wid = [worker_stats[wid] for wid in range(shards)]
+
+    def total(field: str) -> int:
+        return sum(ws[field] for ws in stats_by_wid)
+
     xor = 0
     for ws in stats_by_wid:
         xor ^= ws["xor"]
-    payload_bytes = sum(ws["payload_bytes"] for ws in stats_by_wid)
     view = WireVisitedView(
         digests,
         blobs,
         run_dir_logs(store_dir) if store_dir is not None else None,
-        payload_bytes,
+        total("payload_bytes"),
         xor,
     )
-    canon_hits, canon_misses = wc.cache_counts()
-    warm_expansions = warm.expansions if warm is not None else 0
-    warm_transitions = warm.transitions if warm is not None else 0
-    warm_dedup = warm.dedup_hits if warm is not None else 0
-    warm_orbit = warm.orbit_reductions if warm is not None else 0
-    warm_peak = warm.peak_frontier if warm is not None else 0
+    canon_hits, canon_misses = wire_keys.cache_activity()  # signature too
     stats = ExplorationStats(
         strategy="bfs",
         states=len(view),
-        expansions=warm_expansions
-        + sum(ws["expansions"] for ws in stats_by_wid),
-        transitions=warm_transitions
-        + sum(ws["transitions"] for ws in stats_by_wid),
-        dedup_hits=warm_dedup
-        + sum(ws["dedup_hits"] for ws in stats_by_wid),
+        expansions=warm.expansions + total("expansions"),
+        transitions=warm.transitions + total("transitions"),
+        dedup_hits=warm.dedup_hits + total("dedup_hits"),
         depth_reached=depth_reached,
         depth_limited=depth_limited,
-        peak_frontier=max(
-            [warm_peak] + level_sizes
-        ),
+        peak_frontier=max([warm.peak_frontier] + level_sizes),
         elapsed_seconds=time.perf_counter() - started,
         truncated=truncated,
         truncation_cause=truncation_cause,
         workers=workers,
-        orbit_reductions=warm_orbit
-        + sum(ws["orbit_reductions"] for ws in stats_by_wid),
+        orbit_reductions=warm.orbit_reductions + total("orbit_reductions"),
         bytes_per_state=view.bytes_per_state,
-        canon_cache_hits=(canon_hits - canon0[0])
-        + sum(ws["canon_hits"] for ws in stats_by_wid),
-        canon_cache_misses=(canon_misses - canon0[1])
-        + sum(ws["canon_misses"] for ws in stats_by_wid),
+        canon_cache_hits=canon_hits + total("canon_hits"),
+        canon_cache_misses=canon_misses + total("canon_misses"),
         shard_states=tuple(ws["admitted"] for ws in stats_by_wid),
-        batches=seed_batches + sum(ws["batches"] for ws in stats_by_wid),
+        batches=total("batches"),
         reexpansions=reexpansions,
-        spill_bytes=sum(ws["spill_bytes"] for ws in stats_by_wid),
+        spill_bytes=total("spill_bytes"),
         resumed_states=resumed_states,
     )
     return view.into_exploration(stats)

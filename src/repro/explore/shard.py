@@ -189,32 +189,17 @@ def iter_log_records(
 
 
 def valid_prefix_len(path: str, chunk_size: int = 1 << 20) -> int:
-    """Byte length of the longest whole-record prefix of a journal.
+    """Byte length of the longest whole-record prefix of a journal: the
+    frames of exactly the records :func:`iter_log_records` yields.
 
     Appending a new run's records after a torn tail would misalign the
     framing for every later replay, so the coordinator truncates each
     journal to this length before any worker reopens it for append.
     """
-    with open(path, "rb") as fh:
-        buf = b""
-        offset = 0  # file offset of buf[0]
-        good = 0
-        while True:
-            data = fh.read(chunk_size)
-            if not data:
-                return good
-            buf += data
-            consumed = 0
-            limit = len(buf)
-            while limit - consumed >= HEADER_SIZE:
-                _tag, _depth, _aux, length = unpack_header(buf, consumed)
-                start = consumed + HEADER_SIZE
-                if limit - start < length:
-                    break
-                consumed = start + length
-                good = offset + consumed
-            buf = buf[consumed:]
-            offset += consumed
+    return sum(
+        HEADER_SIZE + len(payload)
+        for _tag, _depth, _aux, payload in iter_log_records(path, chunk_size)
+    )
 
 
 # -- streaming replay ------------------------------------------------------
@@ -305,8 +290,8 @@ class ShardStore:
     def __len__(self) -> int:
         return len(self.digests)
 
-    def __contains__(self, digest: bytes) -> bool:
-        return digest in self.digests
+    def __contains__(self, wire_key: tuple[bytes, bytes]) -> bool:
+        return wire_key[1] in self.digests
 
     def admit(self, digest: bytes, blob: bytes) -> None:
         self.digests.add(digest)
@@ -314,6 +299,26 @@ class ShardStore:
             self.blobs.append(blob)
         self.payload_bytes += len(blob)
         self.xor ^= int.from_bytes(digest, "little")
+
+    def add(self, wire_key: tuple[bytes, bytes]) -> tuple[int, bool]:
+        """Admit ``(canonical blob, digest)`` unless already present:
+        ``(rank, fresh)``.  With :meth:`__contains__`, ``len`` and
+        :attr:`bytes_per_state` this is the visited-store interface of
+        :func:`repro.explore.engine.search` (the warm start runs it over
+        this store, so ``blobs[rank]`` is the state admitted ``rank``-th).
+        """
+        blob, digest = wire_key
+        if digest in self.digests:
+            return -1, False
+        self.admit(digest, blob)
+        return len(self.digests) - 1, True
+
+    @property
+    def bytes_per_state(self) -> float:
+        """Mean wire payload bytes per admitted state."""
+        if not self.digests:
+            return 0.0
+        return self.payload_bytes / len(self.digests)
 
     def digests_blob(self) -> bytes:
         """All admitted digests, concatenated (collection message for

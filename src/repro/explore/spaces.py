@@ -20,21 +20,33 @@ function.  Three concrete spaces cover the repository's searches:
 Nodes may be arbitrary carrier objects; ``key`` maps a node to the
 hashable state identity used for deduplication.
 
-Optional hooks refine how the engine stores and deduplicates keys:
+Optional hooks refine how the engine stores and deduplicates keys.  They
+are looked up in one place, once per space
+(:class:`repro.explore.engine.NodeKeys`), which the serial engine, the
+sharded engine's warm start and its shard workers all admit through:
 
-* ``canonical_key(key)`` -- maps a key to its orbit representative under
-  process-permutation symmetry (see :mod:`repro.explore.canon`).  The
-  simulator-backed spaces opt in via their ``symmetry`` argument;
-  :class:`TransitionSystemSpace` deliberately never defines it, so the
-  relation/theorem checks stay exact.
 * ``codec`` -- a :class:`~repro.explore.store.StateCodec` the engine
   uses to intern keys into packed blobs instead of keeping the full
   object graphs in the visited set (see :mod:`repro.explore.store`).
+* ``packed_canon`` -- a canonicalizer over ``codec`` (see
+  :mod:`repro.explore.packed`): ``canonicalize(key, parent_key, delta,
+  tokens) -> (blob, rewritten)`` maps a key to the packed blob of its
+  orbit representative under process-permutation symmetry, and the
+  engine deduplicates on that blob.  The simulator-backed spaces opt in
+  via their ``symmetry`` argument; a space with some other canonical map
+  wraps it in a :class:`~repro.explore.packed.CachedCanonicalizer`;
+  :class:`TransitionSystemSpace` deliberately never defines one, so the
+  relation/theorem checks stay exact.
 * ``delta_of(node)`` / ``tokens_of(node)`` -- what the node already
   knows about its key: the components that differ from its parent's, and
   the key's packed token stream under ``codec``, so neither the
   canonicalizer nor the store has to re-derive them from the key
-  (``tokens_of`` is ignored unless ``codec`` can ``pack`` a stream).
+  (without ``packed_canon``, ``tokens_of`` is used only where ``codec``
+  can ``pack`` a stream into the interned store).
+* ``successors_of_key(key)`` -- marks a space whose keys can be expanded
+  in another process, which the sharded engine requires; a space whose
+  nodes are more than their keys adds ``node_of_key(key)``, and the
+  shard workers expand ``successors(node_of_key(key))`` instead.
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
+from repro.clocks.timestamps import Timestamp
 from repro.runtime.trace import GlobalState
 
 if TYPE_CHECKING:
@@ -169,7 +182,7 @@ class GlobalSimulatorSpace:
     sound for the pid-template TME systems (RA, RA-count, Lamport, the
     wrapper) -- while ``"ring"`` quotients under rotations only (the
     token ring's ``nxt`` topology is not invariant under arbitrary
-    permutations).  When enabled, :attr:`canonical_key` maps a snapshot
+    permutations).  When enabled, :attr:`packed_canon` maps a snapshot
     to its least orbit member and the engine deduplicates in quotient
     space; the frontier still carries the first-seen (genuinely
     reachable) member of each orbit, so expansion never runs from a
@@ -181,11 +194,7 @@ class GlobalSimulatorSpace:
         programs: Mapping[str, "ProcessProgram"],
         symmetry: str | bool | None = None,
     ):
-        from repro.explore.canon import (
-            canonical_global,
-            full_symmetry,
-            ring_rotations,
-        )
+        from repro.explore.canon import full_symmetry, ring_rotations
         from repro.explore.packed import PackedGlobalCanonicalizer
         from repro.explore.store import GlobalStateCodec
 
@@ -205,15 +214,9 @@ class GlobalSimulatorSpace:
                 f"{FULL_SYMMETRY!r}, {RING_SYMMETRY!r}, True, or None"
             )
         if self.symmetry_group:
-            group = self.symmetry_group
-            # Reference path (kept as the spec and for callers that want
-            # the object-level map) ...
-            self.canonical_key = (
-                lambda state: canonical_global(state, group)
-            )
-            # ... and the packed-token fast path the engine prefers.
+            # Computes canon.canonical_global's answer on packed tokens.
             self.packed_canon = PackedGlobalCanonicalizer(
-                self.codec, pids, group
+                self.codec, pids, self.symmetry_group
             )
         # Every snapshot of the space has the simulator's layout: sorted
         # pids, then the complete channel graph in Network order.
@@ -439,6 +442,18 @@ class GlobalSimulatorSpace:
         return out
 
 
+def default_message_alphabet(
+    peers: Iterable[str], kinds: Iterable[str], max_clock: int
+) -> list[tuple[str, str, Timestamp]]:
+    """(sender, kind, payload) triples a process may receive."""
+    return [
+        (sender, kind, Timestamp(c, sender))
+        for sender in peers
+        for kind in kinds
+        for c in range(max_clock + 1)
+    ]
+
+
 class LocalProcessSpace:
     """The local state space of one process (graybox surface).
 
@@ -478,14 +493,10 @@ class LocalProcessSpace:
             peer_symmetry(pid, self.all_pids) if symmetry else ()
         )
         if self.symmetry_group:
-            group = self.symmetry_group
-            self.canonical_key = (
-                lambda snapshot: canonical_local(snapshot, group)
-            )
             # Orbit cache over the reference map: duplicate successors
             # (the majority of examined edges) canonicalize once.
             self.packed_canon = CachedCanonicalizer(
-                self.codec, group, canonical_local
+                self.codec, self.symmetry_group, canonical_local
             )
 
     def roots(self) -> Iterator[tuple]:

@@ -31,7 +31,8 @@ all derived from it.
 The module also owns the journal record framing used by
 :mod:`repro.explore.shard`: fixed 13-byte headers followed by the wire
 payload, written append-only and parsed back with torn-tail tolerance
-(a record cut short by ``kill -9`` is discarded, never misread).  The
+by :func:`repro.explore.shard.iter_log_records` (a record cut short by
+``kill -9`` is discarded, never misread).  The
 framing is deliberately payload-agnostic and has a second consumer: the
 durable campaign journal (:mod:`repro.campaign.journal`) appends its
 lease/result/requeue records through the same header format and replay
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import pickle
 import struct
-from collections.abc import Iterator
 from hashlib import blake2b
 from typing import Any
 
@@ -291,24 +291,3 @@ unpack_header = _HEADER.unpack_from
 def pack_record(tag: int, depth: int, aux: int, payload: bytes) -> bytes:
     """One framed journal record (header + wire payload)."""
     return _HEADER.pack(tag, depth, aux, len(payload)) + payload
-
-
-def iter_records(
-    raw: bytes,
-) -> Iterator[tuple[int, int, int, bytes]]:
-    """Parse ``(tag, depth, aux, payload)`` records from journal bytes.
-
-    Stops silently at a torn tail (a header or payload cut short by a
-    crash): append-only journals are only ever damaged at the end, and
-    a truncated record was by construction never acknowledged, so
-    dropping it is exactly the crash semantics resume expects.
-    """
-    index = 0
-    total = len(raw)
-    while index + HEADER_SIZE <= total:
-        tag, depth, aux, length = _HEADER.unpack_from(raw, index)
-        index += HEADER_SIZE
-        if index + length > total:
-            return
-        yield tag, depth, aux, raw[index : index + length]
-        index += length

@@ -1,11 +1,8 @@
-"""Verification: refinement checks, stabilization checking, exploration."""
+"""Verification: refinement checks, runtime monitoring, stabilization
+checking.  Bounded exploration of the global/local surfaces is
+:func:`repro.explore.explore` over a :class:`~repro.explore.
+GlobalSimulatorSpace` / :class:`~repro.explore.LocalProcessSpace`."""
 
-from repro.verification.explorer import (
-    ExplorationResult,
-    default_message_alphabet,
-    explore_global,
-    explore_local,
-)
 from repro.verification.monitor import VerificationBundle, verify_run
 from repro.verification.refinement import (
     EverywhereReport,
@@ -23,14 +20,10 @@ __all__ = [
     "ConvergenceResult",
     "EverywhereReport",
     "ExhaustiveResult",
-    "ExplorationResult",
     "VerificationBundle",
     "check_stabilization",
     "count_local_states",
-    "default_message_alphabet",
     "everywhere_implements_lspec",
     "exhaustive_lspec_check",
-    "explore_global",
-    "explore_local",
     "verify_run",
 ]

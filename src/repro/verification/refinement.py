@@ -16,8 +16,8 @@
    CS-Release).  This is the direct analogue of the paper's per-process
    proof obligations, and it is exactly the verification task whose cost
    the graybox argument says stays *per-process* -- compare
-   :mod:`repro.verification.explorer` for the whitebox global-state
-   counterpart.
+   :class:`repro.explore.GlobalSimulatorSpace` for the whitebox
+   global-state counterpart.
 """
 
 from __future__ import annotations

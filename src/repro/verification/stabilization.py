@@ -14,7 +14,7 @@ convergence latency (steps from the last fault to the convergence point)
 This check is *trace-analytic*: it scans one recorded run and performs no
 state-space search of its own.  The searches it complements -- bounded
 exploration of the global/local surfaces
-(:mod:`repro.verification.explorer`) and reachability for the exact
+(:func:`repro.explore.explore`) and reachability for the exact
 Section-2 relation checks (:meth:`~repro.core.system.TransitionSystem.
 reachable_from`) -- all run on the unified exploration engine
 (:mod:`repro.explore`); its own verdicts are independent of that engine.

@@ -178,18 +178,20 @@ class TestTruncationEdgeCases:
 class _FoldedPairsSpace:
     """0..5 where odd keys canonicalize onto the even below them.
 
-    A minimal space exercising the engine's ``canonical_key``/``codec``
+    A minimal space exercising the engine's ``packed_canon``/``codec``
     hooks without any simulator machinery: the quotient has 3 states
     ({0,1}, {2,3}, {4,5}) while the raw walk 1 -> 3 -> 5 has 3 odd ones.
     """
 
     def __init__(self):
-        from repro.explore import StateCodec
+        from repro.explore import CachedCanonicalizer, StateCodec
 
         self.codec = StateCodec()
-
-    def canonical_key(self, key):
-        return key - (key % 2)
+        self.packed_canon = CachedCanonicalizer(
+            self.codec,
+            (),
+            lambda key, _group: key if key % 2 == 0 else key - 1,
+        )
 
     def roots(self):
         yield 1
@@ -218,6 +220,63 @@ class TestEngineSymmetryHooks:
         stats = explore(TransitionSystemSpace(diamond())).stats
         assert stats.orbit_reductions == 0
         assert stats.bytes_per_state == 0.0
+
+
+class TestProfile:
+    """``profile=True`` wraps the loop's seams; it must not change what
+    the loop does."""
+
+    @pytest.mark.parametrize("symmetry", [None, "full"])
+    def test_profiled_run_equals_plain_run(self, symmetry):
+        from repro.explore import GlobalSimulatorSpace
+        from repro.tme import ClientConfig, tme_programs
+
+        def run(**kwargs):
+            programs = tme_programs(
+                "ra", 2, ClientConfig(think_delay=1, eat_delay=1)
+            )
+            return explore(
+                GlobalSimulatorSpace(programs, symmetry=symmetry),
+                max_depth=8,
+                **kwargs,
+            )
+
+        plain, profiled = run(), run(profile=True)
+        assert plain.stats.profile is None
+        assert profiled.visited == plain.visited
+        assert profiled.content_digest() == plain.content_digest()
+        for name in (
+            "states",
+            "expansions",
+            "transitions",
+            "dedup_hits",
+            "orbit_reductions",
+            "peak_frontier",
+            "depth_reached",
+            "canon_cache_hits",
+            "canon_cache_misses",
+        ):
+            assert getattr(profiled.stats, name) == getattr(plain.stats, name)
+        phases = profiled.stats.profile
+        measured = (
+            phases.expand_seconds,
+            phases.canonicalize_seconds,
+            phases.store_seconds,
+            phases.dedup_seconds,
+        )
+        assert all(seconds >= 0.0 for seconds in measured)
+        assert phases.expand_seconds > 0.0
+        assert phases.store_seconds > 0.0
+        assert (phases.canonicalize_seconds > 0.0) == (symmetry is not None)
+        assert sum(measured) <= phases.elapsed_seconds
+        assert phases.elapsed_seconds == profiled.stats.elapsed_seconds
+        assert "canonicalize" in phases.describe()
+
+    def test_profile_of_a_plain_key_space(self):
+        stats = explore(TransitionSystemSpace(diamond()), profile=True).stats
+        assert stats.states == 4 and stats.dedup_hits == 2
+        assert stats.profile.canonicalize_seconds == 0.0
+        assert stats.profile.overhead_seconds >= 0.0
 
 
 class TestTransitionSystemSpace:

@@ -109,7 +109,7 @@ def test_delta_path_agrees_with_full_path(algo, n, symmetry):
 # and the local space rightly exposes no canonicalizer.
 @pytest.mark.parametrize("n", [3, 4])
 def test_local_cached_canonicalizer_matches_reference(n):
-    from repro.verification.explorer import default_message_alphabet
+    from repro.explore import default_message_alphabet
 
     programs = tme_programs("ra", n, CLIENT)
     all_pids = tuple(sorted(programs))

@@ -1,6 +1,8 @@
 """Tests for sharded expansion: parity with the in-process engine."""
 
 import multiprocessing
+import os
+import time
 
 import pytest
 
@@ -77,6 +79,59 @@ class TestAdaptiveSerialFallback:
         )
         assert parallel.stats.shard_states == ()
         assert serial.visited == parallel.visited
+
+
+COUNTERS = (
+    "states",
+    "expansions",
+    "transitions",
+    "dedup_hits",
+    "orbit_reductions",
+    "peak_frontier",
+    "depth_reached",
+    "depth_limited",
+    "truncation_cause",
+)
+
+
+class TestWarmStartCounterParity:
+    """The warm start is the serial loop, so a run that ends inside it
+    reports the serial counters, not merely the serial visited set."""
+
+    @pytest.mark.parametrize(
+        "n,symmetry,bounds",
+        [
+            (2, None, {"max_depth": 2}),
+            (2, "full", {"max_depth": 3}),
+            (3, None, {"max_depth": 6, "max_states": 4}),  # cut mid-level
+            (3, "full", {"max_depth": 6, "max_states": 7}),
+            (3, None, {"max_depth": 6, "max_states": 1}),  # cut at level 1
+        ],
+    )
+    def test_counters_match_serial(self, n, symmetry, bounds):
+        serial = explore(ra_space(n, symmetry), **bounds)
+        warm = explore(ra_space(n, symmetry), workers=4, **bounds)
+        assert warm.stats.shard_states == ()  # never left the warm start
+        for name in COUNTERS:
+            assert getattr(warm.stats, name) == getattr(serial.stats, name)
+        assert warm.visited == serial.visited
+        assert warm.content_digest() == serial.content_digest()
+
+
+class TestWorkerDeath:
+    def test_worker_dying_after_stop_fails_fast(self, monkeypatch):
+        # A shard worker killed while shipping its blobs (say by the OOM
+        # killer) used to stall the coordinator for 60 s and surface a
+        # bare queue.Empty; the forked workers inherit this patch.
+        import repro.explore.parallel as parallel_mod
+
+        monkeypatch.setattr(
+            parallel_mod._Shard, "collect", lambda self: os._exit(1)
+        )
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="died unexpectedly"):
+            explore(ra_space(), max_depth=6, workers=2)
+        assert time.perf_counter() - started < 5.0
 
 
 class TestReentrancySafety:

@@ -4,14 +4,18 @@ import pytest
 
 from repro.dsl.guards import Effect, action, sends_to_all
 from repro.dsl.program import ProcessProgram
-from repro.explore import GlobalSimulatorSpace, LocalProcessSpace, explore
+from repro.explore import (
+    GlobalSimulatorSpace,
+    LocalProcessSpace,
+    default_message_alphabet,
+    explore,
+)
 from repro.runtime.channel import FifoChannel
 from repro.runtime.messages import Message
 from repro.runtime.scheduler import RoundRobinScheduler
 from repro.runtime.simulator import Simulator
 from repro.runtime.trace import GlobalState
 from repro.tme import ClientConfig, WrapperConfig, tme_programs
-from repro.verification import default_message_alphabet
 
 
 def small_programs(n=2):

@@ -1,9 +1,15 @@
 """Tests for the wire codec and journal record framing."""
 
-import pytest
+import os
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.campaign.journal import JOURNAL_NAME, CampaignJournal
 from repro.clocks.timestamps import Timestamp
 from repro.explore import GlobalSimulatorSpace
+from repro.explore.shard import iter_log_records, valid_prefix_len
 from repro.explore.wire import (
     DIGEST_SIZE,
     HEADER_SIZE,
@@ -11,7 +17,6 @@ from repro.explore.wire import (
     REC_MEMBER,
     WireCodec,
     content_digest,
-    iter_records,
     pack_record,
     shard_of,
     wire_digest,
@@ -112,23 +117,73 @@ class TestDigests:
         assert content_digest(xor, 5) != content_digest(xor, 4)
 
 
+def scan(tmp_path, raw, **kwargs):
+    """The records the journal scanner reads back from ``raw``."""
+    path = tmp_path / "journal.log"
+    path.write_bytes(raw)
+    return list(iter_log_records(str(path), **kwargs))
+
+
 class TestRecordFraming:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         raw = pack_record(REC_ADMIT, 3, 17, b"payload") + pack_record(
             REC_MEMBER, 3, 17, b""
         )
-        records = list(iter_records(raw))
-        assert records == [
+        assert scan(tmp_path, raw) == [
             (REC_ADMIT, 3, 17, b"payload"),
             (REC_MEMBER, 3, 17, b""),
         ]
 
-    def test_torn_tail_is_dropped(self):
+    def test_torn_tail_is_dropped(self, tmp_path):
         whole = pack_record(REC_ADMIT, 1, 0, b"abc")
         torn = pack_record(REC_ADMIT, 2, 1, b"defghij")
         for cut in range(1, len(torn)):
-            records = list(iter_records(whole + torn[:-cut]))
+            records = scan(tmp_path, whole + torn[:-cut])
             assert records == [(REC_ADMIT, 1, 0, b"abc")]
 
     def test_header_size_matches_packing(self):
         assert len(pack_record(REC_ADMIT, 0, 0, b"")) == HEADER_SIZE
+
+
+RECORDS = st.lists(
+    st.tuples(
+        st.integers(0, 255),
+        st.integers(-(2**31), 2**31 - 1),
+        st.integers(-(2**31), 2**31 - 1),
+        st.binary(max_size=24),
+    ),
+    max_size=6,
+)
+
+
+class TestHostileJournalBytes:
+    @settings(deadline=None, max_examples=40)
+    @given(records=RECORDS, chunk_size=st.integers(1, 64))
+    def test_truncation_at_every_offset(
+        self, tmp_path_factory, records, chunk_size
+    ):
+        """Cut a journal anywhere: replay yields exactly the whole
+        records before the cut, the valid prefix is their byte length,
+        and a journal reopened on it appends frame-aligned."""
+        store = tmp_path_factory.mktemp("journal")
+        path = store / JOURNAL_NAME
+        frames = [pack_record(*record) for record in records]
+        raw = b"".join(frames)
+        ends = [0]
+        for frame in frames:
+            ends.append(ends[-1] + len(frame))
+        for cut in range(len(raw) + 1):
+            whole = sum(1 for end in ends[1:] if end <= cut)
+            path.write_bytes(raw[:cut])
+            assert (
+                list(iter_log_records(str(path), chunk_size))
+                == records[:whole]
+            )
+            assert valid_prefix_len(str(path), chunk_size) == ends[whole]
+            journal = CampaignJournal(store)
+            journal.lease(7, 1, 0)
+            journal.close()
+            assert os.path.getsize(path) > ends[whole]
+            replayed = list(iter_log_records(str(path)))
+            assert replayed[:-1] == records[:whole]
+            assert replayed[-1][1:3] == (7, 1)

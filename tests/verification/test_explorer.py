@@ -1,23 +1,37 @@
-"""Tests for bounded state-space exploration."""
+"""Tests for bounded exploration of the global and local surfaces."""
 
-from repro.tme import ClientConfig, tme_programs
-from repro.verification import (
+from repro.explore import (
+    GlobalSimulatorSpace,
+    LocalProcessSpace,
     default_message_alphabet,
-    explore_global,
-    explore_local,
+    explore,
 )
+from repro.tme import ClientConfig, tme_programs
 
 
 def small_programs(n=2):
     return tme_programs("ra", n, ClientConfig(think_delay=1, eat_delay=1))
 
 
+def explore_global(programs, **bounds):
+    return explore(GlobalSimulatorSpace(programs), **bounds)
+
+
+def explore_local(programs, pid, max_clock, **bounds):
+    pids = tuple(sorted(programs))
+    alphabet = default_message_alphabet(
+        (p for p in pids if p != pid), ("request", "reply"), max_clock
+    )
+    space = LocalProcessSpace(programs[pid], pid, pids, alphabet, max_clock)
+    return explore(space, **bounds)
+
+
 class TestGlobal:
     def test_explores_beyond_root(self):
         result = explore_global(small_programs(), max_depth=3)
         assert result.states > 1
-        assert not result.frontier_truncated
-        assert result.depth_reached <= 3
+        assert not result.stats.truncated
+        assert result.stats.depth_reached <= 3
 
     def test_monotone_in_depth(self):
         shallow = explore_global(small_programs(), max_depth=2)
@@ -26,7 +40,7 @@ class TestGlobal:
 
     def test_truncation_reported(self):
         result = explore_global(small_programs(), max_depth=6, max_states=5)
-        assert result.frontier_truncated
+        assert result.stats.truncated
         assert result.states <= 6
 
     def test_grows_with_n(self):
@@ -42,26 +56,11 @@ class TestLocal:
         assert all(kind == "request" for _s, kind, _p in alphabet)
 
     def test_local_exploration(self):
-        programs = small_programs()
-        result = explore_local(
-            programs["p0"],
-            "p0",
-            ("p0", "p1"),
-            kinds=("request", "reply"),
-            max_depth=3,
-            max_clock=4,
-        )
+        result = explore_local(small_programs(), "p0", 4, max_depth=3)
         assert result.states > 1
-        assert result.label == "local"
+        assert result.stats.bytes_per_state > 0.0  # the local codec
 
     def test_clock_bound_limits(self):
-        programs = small_programs()
-        tight = explore_local(
-            programs["p0"], "p0", ("p0", "p1"),
-            kinds=("request", "reply"), max_depth=4, max_clock=2,
-        )
-        loose = explore_local(
-            programs["p0"], "p0", ("p0", "p1"),
-            kinds=("request", "reply"), max_depth=4, max_clock=5,
-        )
+        tight = explore_local(small_programs(), "p0", 2, max_depth=4)
+        loose = explore_local(small_programs(), "p0", 5, max_depth=4)
         assert loose.states >= tight.states

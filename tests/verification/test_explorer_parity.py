@@ -1,25 +1,27 @@
-"""Parity: the engine-backed explorers equal the original rebuild-based ones.
+"""Parity: the exploration engine equals the original rebuild-based BFS.
 
-``explore_global``/``explore_local`` were migrated from a standalone
+Global and local exploration were migrated from a standalone
 rebuild-a-simulator-per-branch BFS onto the unified exploration engine
-(:mod:`repro.explore`), which forks copy-on-write simulators instead.  The
-migration must be observationally invisible: the reference implementations
-below reproduce the original algorithms verbatim (modulo docstrings), and
-these tests assert identical distinct-state counts, truncation flags, and
-depths on the TME systems the repository actually explores (E7).
+(:func:`repro.explore.explore` over a ``GlobalSimulatorSpace`` /
+``LocalProcessSpace``).  The migration must be observationally invisible:
+the reference implementations below reproduce the original algorithms
+verbatim (modulo docstrings), and these tests assert identical
+distinct-state counts, truncation flags, and depths on the TME systems the
+repository actually explores (E7).
 """
 
 from collections import deque
 
+from repro.explore import (
+    GlobalSimulatorSpace,
+    LocalProcessSpace,
+    default_message_alphabet,
+    explore,
+)
 from repro.runtime.process import ProcessRuntime
 from repro.runtime.scheduler import RoundRobinScheduler
 from repro.runtime.simulator import Simulator
 from repro.tme import ClientConfig, tme_programs
-from repro.verification import (
-    default_message_alphabet,
-    explore_global,
-    explore_local,
-)
 
 
 def small_programs(n=2):
@@ -132,12 +134,14 @@ class TestGlobalParity:
         states, truncated, depth = reference_explore_global(
             programs, max_depth=max_depth, max_states=max_states
         )
-        result = explore_global(
-            programs, max_depth=max_depth, max_states=max_states
+        result = explore(
+            GlobalSimulatorSpace(programs),
+            max_depth=max_depth,
+            max_states=max_states,
         )
         assert result.states == states
-        assert result.frontier_truncated == truncated
-        assert result.depth_reached == depth
+        assert result.stats.truncated == truncated
+        assert result.stats.depth_reached == depth
 
     def test_n2_depth6(self):
         self.check(2, 6)
@@ -153,10 +157,12 @@ class TestGlobalParity:
 
     def test_parallel_workers_visit_same_states(self):
         programs = small_programs(2)
-        serial = explore_global(programs, max_depth=6)
-        parallel = explore_global(programs, max_depth=6, workers=2)
+        serial = explore(GlobalSimulatorSpace(programs), max_depth=6)
+        parallel = explore(
+            GlobalSimulatorSpace(programs), max_depth=6, workers=2
+        )
         assert parallel.states == serial.states
-        assert parallel.frontier_truncated == serial.frontier_truncated
+        assert parallel.stats.truncated == serial.stats.truncated
 
 
 class TestLocalParity:
@@ -173,18 +179,17 @@ class TestLocalParity:
             max_clock=max_clock,
             max_states=max_states,
         )
-        result = explore_local(
-            programs[pid],
-            pid,
-            pids,
-            kinds=("request", "reply"),
+        alphabet = default_message_alphabet(
+            pids[1:], ("request", "reply"), max_clock
+        )
+        result = explore(
+            LocalProcessSpace(programs[pid], pid, pids, alphabet, max_clock),
             max_depth=max_depth,
-            max_clock=max_clock,
             max_states=max_states,
         )
         assert result.states == states
-        assert result.frontier_truncated == truncated
-        assert result.depth_reached == depth
+        assert result.stats.truncated == truncated
+        assert result.stats.depth_reached == depth
 
     def test_n2(self):
         self.check(2)

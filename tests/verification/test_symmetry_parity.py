@@ -14,7 +14,7 @@ down at n = 2 and n = 3 for all four TME algorithms, two ways:
 
 The relation/stabilization checks of the core layer run on
 :class:`~repro.explore.TransitionSystemSpace`, which deliberately defines
-no ``canonical_key`` -- those verdicts are computed on the exact graph by
+no ``packed_canon`` -- those verdicts are computed on the exact graph by
 construction, which the exactness guard below pins.
 """
 
@@ -138,12 +138,12 @@ class TestExactnessGuard:
         space = TransitionSystemSpace(
             TransitionSystem("t", {0: {0}}, initial={0})
         )
-        assert not hasattr(space, "canonical_key")
+        assert not hasattr(space, "packed_canon")
         assert not hasattr(space, "codec")
 
     def test_symmetry_is_opt_in(self):
         space = GlobalSimulatorSpace(tme_programs("ra", 2, CLIENT))
-        assert not hasattr(space, "canonical_key")
+        assert not hasattr(space, "packed_canon")
         assert space.symmetry_group == ()
 
     def test_unknown_symmetry_rejected(self):
