@@ -11,11 +11,10 @@ successor rate into dict hits instead of repeated canonicalizations.
 
 The race is asserted where the quotient is worth having: RA n=4 at
 depth 11 (71 505 exact states against 4 788 representatives), where
-the canonicalizer's cold-start cost -- the per-permutation relabel
-tables -- is amortised and the quotient wins by ~1.7x.  At depth 6 the
-surfaces are a few hundred states, and since the memoised expansion
-(DESIGN section 3, decision 7) cut an exact state from ~100 us to
-~20 us, exact enumeration is the quicker of the two there; those rows
+the canonicalizer's cold-start cost -- the per-permutation images --
+is amortised and the quotient wins by ~5x.  At depth 6 the surfaces
+are a few hundred states and an exact state costs ~20 us (DESIGN
+section 3, decision 7), so the two are about level there; those rows
 are held to a bounded symmetric/exact ratio instead, so the quotient
 cannot drift arbitrarily far behind.  Raw throughput is gated by
 ``compare_baseline.py``'s ``canon_ra_n3`` case, so a >30% regression of
@@ -36,8 +35,8 @@ CLIENT = ClientConfig(think_delay=1, eat_delay=1)
 #: symmetry must win outright; shallower rows only bound the ratio.
 RACE_DEPTH = 11
 #: Symmetric wall-clock may be at most this multiple of exact at depth 6
-#: (measured 1.9-3.1x; the pre-packed canonicalizer sat at ~45x).
-MAX_SHALLOW_RATIO = 6.0
+#: (measured 0.8-1.5x; the pre-packed canonicalizer sat at ~45x).
+MAX_SHALLOW_RATIO = 3.0
 
 #: (algorithm, n, symmetry mode, depth) -- the E15 pair plus the two
 #: other symmetric baseline systems at depth 6 like the baseline gate,

@@ -361,9 +361,9 @@ class _PhaseClock:
     def canonicalizer(self, key_of: Callable) -> Callable:
         clock = time.perf_counter
 
-        def timed(node: Any, parent_key: Hashable = None):
+        def timed(node: Any):
             t0 = clock()
-            out = key_of(node, parent_key)
+            out = key_of(node)
             self.canonicalize += clock() - t0
             return out
 
@@ -402,14 +402,13 @@ class NodeKeys:
 
     The optional hooks a space may publish (see
     :mod:`repro.explore.spaces`) are looked up here, once per space, and
-    folded into one function, :attr:`of`: ``of(node, parent_key) ->
-    (dedup key, rewritten)``.  The dedup key is
+    folded into one function, :attr:`of`: ``of(node) -> (dedup key,
+    rewritten)``.  The dedup key is
 
     * the canonical orbit representative's packed blob when the space
-      publishes ``packed_canon`` (``parent_key`` -- the key of the node
-      being expanded, ``None`` for roots -- and the node's ``delta_of``
-      / ``tokens_of`` go to the canonicalizer); ``rewritten`` then says
-      whether the representative differs from the node's own key;
+      publishes ``packed_canon`` (the node's ``tokens_of`` goes to the
+      canonicalizer); ``rewritten`` then says whether the
+      representative differs from the node's own key;
     * the node's own token stream, packed, for an exact space with
       ``tokens_of``, when ``codec`` -- the interned visited store's --
       can ``pack`` one;
@@ -433,25 +432,22 @@ class NodeKeys:
         self.blobs = True
         if packed is not None:
             canonicalize = packed.canonicalize
-            delta_of = getattr(space, "delta_of", _no_hint)
             if tokens_of is None:
                 tokens_of = _no_hint
 
-            def of(node: Any, parent_key: Hashable = None):
-                return canonicalize(
-                    key_of(node), parent_key, delta_of(node), tokens_of(node)
-                )
+            def of(node: Any):
+                return canonicalize(key_of(node), tokens_of(node))
 
             self.decode = packed.decode
         elif tokens_of is not None and pack is not None:
 
-            def of(node: Any, parent_key: Hashable = None):
+            def of(node: Any):
                 return pack(tokens_of(node)), False
 
             self.decode = codec.decode
         else:
 
-            def of(node: Any, parent_key: Hashable = None):
+            def of(node: Any):
                 return key_of(node), False
 
             self.decode = lambda key: key
@@ -517,16 +513,14 @@ def search(
     decode = keys.decode
     frontier: deque[tuple[Any, int]] = deque()
 
-    def admit(
-        nodes: Iterable[Any], parent_key: Hashable, depth: int
-    ) -> tuple[int, int, int, bool]:
+    def admit(nodes: Iterable[Any], depth: int) -> tuple[int, int, int, bool]:
         """Admit ``nodes`` (the roots, or one node's successors) at
         ``depth``: ``(examined, duplicates, orbit rewrites, within
         budget)``."""
         examined = duplicates = rewrites = 0
         for node in nodes:
             examined += 1
-            dkey, rewritten = key_of(node, parent_key)
+            dkey, rewritten = key_of(node)
             if rewritten:
                 rewrites += 1
             if max_states is not None and len(visited) >= max_states:
@@ -547,13 +541,12 @@ def search(
 
     # Roots are the successors of nothing; they are neither transitions
     # nor dedup hits.
-    _, _, orbit_reductions, within = admit(space.roots(), None, 0)
+    _, _, orbit_reductions, within = admit(space.roots(), 0)
     cause = None if within else TRUNCATED_BY_STATES
     peak_frontier = len(frontier)
     expansions = transitions = dedup_hits = depth_reached = 0
     depth_limited = False
     levels: list[int] = []
-    parent_key_of = space.key
     pop = frontier.popleft if strategy == BFS else frontier.pop
     while frontier and cause is None:
         if (
@@ -579,7 +572,7 @@ def search(
             continue
         expansions += 1
         examined, duplicates, rewrites, within = admit(
-            successors(node), parent_key_of(node), depth + 1
+            successors(node), depth + 1
         )
         transitions += examined
         dedup_hits += duplicates
@@ -649,10 +642,10 @@ def explore(
     :class:`NodeKeys`, from the hooks the space publishes: ``codec``
     (visited keys are interned as packed blobs), ``packed_canon``
     (symmetric spaces: the canonical orbit representative's blob, from a
-    blob-keyed cache or an incremental patch of the parent's candidate
-    vectors -- see :mod:`repro.explore.packed`), and ``tokens_of`` /
-    ``delta_of`` (what a node already knows about its key).  A space
-    that quotients by some other map wraps it in a
+    blob-keyed cache or a lazy slot-by-slot minimum over the group --
+    see :mod:`repro.explore.packed`), and ``tokens_of`` (the packed
+    token stream a node already carries).  A space that quotients by
+    some other map wraps it in a
     :class:`~repro.explore.packed.CachedCanonicalizer`.
     """
     if strategy not in (BFS, DFS):

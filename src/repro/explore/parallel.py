@@ -118,13 +118,13 @@ _NO_WARM_START = ExplorationStats(
 class _WireKeys(NodeKeys):
     """:class:`~repro.explore.engine.NodeKeys` rendered for the wire.
 
-    ``of(node, parent_key) -> ((canonical wire blob, digest),
-    rewritten)``: the space's dedup key (there is no interned store on
-    this side, so an exact space's is its plain key) in the
-    cross-process encoding, with the 128-bit digest the shards route and
-    deduplicate by.  A bounded memo maps canonical packed blobs to their
-    wire form, so duplicate successors -- the majority of examined edges
-    -- cost one dict hit instead of a decode + re-encode.
+    ``of(node) -> ((canonical wire blob, digest), rewritten)``: the
+    space's dedup key (there is no interned store on this side, so an
+    exact space's is its plain key) in the cross-process encoding, with
+    the 128-bit digest the shards route and deduplicate by.  A bounded
+    memo maps canonical packed blobs to their wire form, so duplicate
+    successors -- the majority of examined edges -- cost one dict hit
+    instead of a decode + re-encode.
     """
 
     __slots__ = ("wire",)
@@ -135,13 +135,13 @@ class _WireKeys(NodeKeys):
         dedup_key_of, decode = self.of, self.decode
         memo: dict[bytes, tuple[bytes, bytes]] = {}
 
-        def of_key(node: Any, parent_key: Hashable = None):
-            key, rewritten = dedup_key_of(node, parent_key)
+        def of_key(node: Any):
+            key, rewritten = dedup_key_of(node)
             blob = wire.encode(key)
             return (blob, wire_digest(blob)), rewritten
 
-        def of_packed(node: Any, parent_key: Hashable = None):
-            cblob, rewritten = dedup_key_of(node, parent_key)
+        def of_packed(node: Any):
+            cblob, rewritten = dedup_key_of(node)
             hit = memo.get(cblob)
             if hit is None:
                 if len(memo) >= _MEMO_MAX:
@@ -306,7 +306,7 @@ class _Shard:
             cand = 0
             for succ in succs:
                 self.transitions += 1
-                (cblob, digest), rewritten = wire_key_of(succ, state)
+                (cblob, digest), rewritten = wire_key_of(succ)
                 member = None
                 if rewritten:
                     self.orbit_reductions += 1

@@ -29,20 +29,19 @@ sharded engine's warm start and its shard workers all admit through:
   uses to intern keys into packed blobs instead of keeping the full
   object graphs in the visited set (see :mod:`repro.explore.store`).
 * ``packed_canon`` -- a canonicalizer over ``codec`` (see
-  :mod:`repro.explore.packed`): ``canonicalize(key, parent_key, delta,
-  tokens) -> (blob, rewritten)`` maps a key to the packed blob of its
-  orbit representative under process-permutation symmetry, and the
-  engine deduplicates on that blob.  The simulator-backed spaces opt in
-  via their ``symmetry`` argument; a space with some other canonical map
-  wraps it in a :class:`~repro.explore.packed.CachedCanonicalizer`;
+  :mod:`repro.explore.packed`): ``canonicalize(key, tokens) -> (blob,
+  rewritten)`` maps a key to the packed blob of its orbit representative
+  under process-permutation symmetry, and the engine deduplicates on
+  that blob.  The simulator-backed spaces opt in via their ``symmetry``
+  argument; a space with some other canonical map wraps it in a
+  :class:`~repro.explore.packed.CachedCanonicalizer`;
   :class:`TransitionSystemSpace` deliberately never defines one, so the
   relation/theorem checks stay exact.
-* ``delta_of(node)`` / ``tokens_of(node)`` -- what the node already
-  knows about its key: the components that differ from its parent's, and
-  the key's packed token stream under ``codec``, so neither the
-  canonicalizer nor the store has to re-derive them from the key
-  (without ``packed_canon``, ``tokens_of`` is used only where ``codec``
-  can ``pack`` a stream into the interned store).
+* ``tokens_of(node)`` -- what the node already knows about its key: its
+  packed token stream under ``codec``, so neither the canonicalizer nor
+  the store has to re-derive it from the key (without ``packed_canon``,
+  ``tokens_of`` is used only where ``codec`` can ``pack`` a stream into
+  the interned store).
 * ``successors_of_key(key)`` -- marks a space whose keys can be expanded
   in another process, which the sharded engine requires; a space whose
   nodes are more than their keys adds ``node_of_key(key)``, and the
@@ -118,13 +117,7 @@ class TransitionSystemSpace:
 
 
 class _GlobalNode:
-    """A snapshot, how it differs from its parent, and its packed tokens.
-
-    ``delta`` is the touched-component record of the step that produced
-    this node from its parent -- ``(changed_pid | None, touched channel
-    keys)`` -- or ``None`` for roots.  The packed canonicalizer patches
-    parent candidate vectors with exactly these components instead of
-    rebuilding them (see :mod:`repro.explore.packed`).
+    """A snapshot and its packed tokens.
 
     ``tokens`` is ``codec.encode_tokens(state)`` for the *owning space's*
     codec, derived from the parent's stream by re-interning only the
@@ -132,24 +125,19 @@ class _GlobalNode:
     the stream lives here and never on the :class:`GlobalState`.
     """
 
-    __slots__ = ("state", "delta", "tokens")
+    __slots__ = ("state", "tokens")
 
-    def __init__(
-        self,
-        state: "GlobalState",
-        delta: tuple[str | None, tuple[tuple[str, str], ...]] | None,
-        tokens: list[int],
-    ):
+    def __init__(self, state: "GlobalState", tokens: list[int]):
         self.state = state
-        self.delta = delta
         self.tokens = tokens
 
 
 #: What one step does to the acting process and the channels, as a pure
 #: function of the acting process's valuation (and the delivered message):
 #: ``(new (pid, vars) entry | None, its vars_oid, ((channel index, (kind,
-#: payload)), ...) sends in order, delta)``.  ``None`` for the entry means
-#: the process is unchanged (an unhandled or rejected message is consumed).
+#: payload)), ...) sends in order, touched channel keys)``.  ``None`` for
+#: the entry means the process is unchanged (an unhandled or rejected
+#: message is consumed).
 _Move = tuple[Any, int, tuple, tuple]
 
 
@@ -277,7 +265,7 @@ class GlobalSimulatorSpace:
         touched = [] if delivered is None else [delivered]
         if effect is None:
             # Unhandled or rejected message: consumed, receiver untouched.
-            return None, 0, (), (None, tuple(touched))
+            return None, 0, (), tuple(touched)
         branch = proc.fork()
         branch._apply(effect)
         sends = []
@@ -291,7 +279,7 @@ class GlobalSimulatorSpace:
             (pid, variables),
             self.codec.others.intern(variables),
             tuple(sends),
-            (pid, tuple(touched)),
+            tuple(touched),
         )
 
     def _internal_moves(self, entry: tuple) -> tuple[_Move, ...]:
@@ -323,7 +311,7 @@ class GlobalSimulatorSpace:
     ) -> _GlobalNode:
         """``node`` after ``move`` at process ``slot``, the head of
         channel ``popped`` consumed: everything untouched is shared."""
-        entry, vars_oid, sends, delta = move
+        entry, vars_oid, sends, touched = move
         state = node.state
         tokens = node.tokens[:]
         processes = state.processes
@@ -331,7 +319,7 @@ class GlobalSimulatorSpace:
             processes = processes[:slot] + (entry,) + processes[slot + 1 :]
             tokens[2 + 2 * slot] = vars_oid
         channels = state.channels
-        if delta[1]:
+        if touched:
             channels = list(channels)
             if popped is not None:
                 key, content = channels[popped]
@@ -342,11 +330,11 @@ class GlobalSimulatorSpace:
             intern = self.codec.others.intern
             chan_index = self._chan_index
             base = self._content_base
-            for key in delta[1]:
+            for key in touched:
                 index = chan_index[key]
                 tokens[base + 3 * index] = intern(channels[index][1])
             channels = tuple(channels)
-        return _GlobalNode(GlobalState(processes, channels), delta, tokens)
+        return _GlobalNode(GlobalState(processes, channels), tokens)
 
     def successors(self, node: _GlobalNode) -> Iterator[_GlobalNode]:
         """Expand in the simulator's candidate order: one deliver step per
@@ -386,13 +374,6 @@ class GlobalSimulatorSpace:
     def key(self, node: _GlobalNode) -> "GlobalState":
         return node.state
 
-    def delta_of(
-        self, node: _GlobalNode
-    ) -> tuple[str | None, tuple[tuple[str, str], ...]] | None:
-        """The touched-component record of the step that produced
-        ``node`` (``None`` for roots / unknown provenance)."""
-        return node.delta
-
     def tokens_of(self, node: _GlobalNode) -> list[int]:
         """``codec.encode_tokens(key(node))`` without the encoding: the
         stream the node already carries (this space's codec only)."""
@@ -402,7 +383,7 @@ class GlobalSimulatorSpace:
         """A node positioned at ``state``, expandable with
         :meth:`successors` (shard workers expand decoded members).
         ``encode_tokens`` rejects a partitioned snapshot."""
-        return _GlobalNode(state, None, self.codec.encode_tokens(state))
+        return _GlobalNode(state, self.codec.encode_tokens(state))
 
     # -- the Simulator-backed reference ------------------------------------
 

@@ -115,7 +115,9 @@ def order_key(value: Any) -> tuple:
 
 
 class Interner:
-    """Bidirectional value <-> small-integer table (intern once)."""
+    """Bidirectional value <-> small-integer table (intern once, by
+    ``==``: the codecs intern whole valuations, so ``('x', True)`` and
+    ``('x', 1)`` share an id)."""
 
     __slots__ = ("_ids", "_values")
 
