@@ -156,11 +156,23 @@ class TrialResult:
 # ---------------------------------------------------------------------------
 
 
+#: Exact types whose ``repr`` is their rendering (no subclass: a subclass
+#: may be a container, or override ``__repr__``).
+_ATOMS = frozenset({str, int, bool, float, type(None)})
+
+
 def canonical_repr(obj: object) -> str:
     """A repr that is stable across processes: sets are sorted, dicts are
     ordered by key, everything else trusts its (deterministic) ``repr``."""
+    # Snapshots are tuples of atoms nearly all the way down: settle those
+    # two on the exact type before the general ``isinstance`` ladder.
+    kind = type(obj)
+    if kind is tuple:
+        return "(" + ",".join(map(canonical_repr, obj)) + ")"
+    if kind in _ATOMS:
+        return repr(obj)
     if isinstance(obj, (frozenset, set)):
-        return "{" + ",".join(sorted(canonical_repr(x) for x in obj)) + "}"
+        return "{" + ",".join(sorted(map(canonical_repr, obj))) + "}"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: canonical_repr(kv[0]))
         return (
@@ -171,15 +183,36 @@ def canonical_repr(obj: object) -> str:
             + "}"
         )
     if isinstance(obj, (tuple, list)):
-        return "(" + ",".join(canonical_repr(x) for x in obj) + ")"
+        return "(" + ",".join(map(canonical_repr, obj)) + ")"
     return repr(obj)
 
 
 class TraceDigest:
-    """Rolling SHA-256 over step records plus periodic state snapshots."""
+    """Rolling SHA-256 over step records plus periodic state snapshots.
+
+    What is hashed is defined by :func:`canonical_repr`: per step, the
+    record's eight fields as one tuple; per state, the snapshot's
+    ``(processes, channels)``.  Every digest ever recorded (artifacts,
+    journals, the benchmark's pins) depends on those bytes, so they may
+    not change.
+
+    A state is rendered incrementally: between two state digests most
+    variables are still bound to the object they were bound to and most
+    channels are empty, so :meth:`update_state` keeps the last rendering
+    of each ``(name, value)`` pair and of each channel key, reuses it only
+    for the *same object* -- values are immutable (the snapshot contract),
+    whereas an equal object need not render alike (``1 == True``) -- and
+    assembles the same string without building a ``GlobalState``.  Step
+    records are rendered afresh: a shape cache that is exact about types
+    costs as much as :func:`canonical_repr` does on eight short fields.
+    """
 
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
+        #: (pid, variable) -> (name, value, rendering of the pair)
+        self._pairs: dict[tuple, tuple[object, object, str]] = {}
+        #: channel key -> (key, its rendering)
+        self._links: dict[tuple, tuple[tuple, str]] = {}
 
     def update_step(self, record: StepRecord) -> None:
         self._hash.update(
@@ -198,9 +231,39 @@ class TraceDigest:
         )
 
     def update_state(self, simulator: Simulator) -> None:
-        snapshot = simulator.snapshot()
+        pairs = self._pairs
+        processes = []
+        for pid, proc in sorted(simulator.processes.items()):
+            rendered = []
+            for pair in proc.snapshot():
+                name, value = pair
+                known = pairs.get((pid, name))
+                if (
+                    known is None
+                    or known[0] is not name
+                    or known[1] is not value
+                ):
+                    known = pairs[pid, name] = (
+                        name,
+                        value,
+                        canonical_repr(pair),
+                    )
+                rendered.append(known[2])
+            processes.append(
+                f"({canonical_repr(pid)},({','.join(rendered)}))"
+            )
+        links = self._links
+        channels = []
+        for key, content in simulator.network.snapshot():
+            known = links.get(key)
+            if known is None or known[0] is not key:
+                known = links[key] = (key, canonical_repr(key))
+            messages = ",".join(
+                [canonical_repr((m.kind, m.payload)) for m in content]
+            )
+            channels.append(f"({known[1]},({messages}))")
         self._hash.update(
-            canonical_repr((snapshot.processes, snapshot.channels)).encode()
+            f"(({','.join(processes)}),({','.join(channels)}))".encode()
         )
 
     def hexdigest(self) -> str:

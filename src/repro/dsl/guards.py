@@ -66,12 +66,20 @@ class LocalView:
 
     Attribute access reads variables (``view.h``, ``view.req``); item access
     works for non-identifier names (``view["j.REQ_k"]``).
+
+    The valuation *is* the instance ``__dict__``, so ``view.phase`` is the
+    interpreter's own instance-attribute lookup -- no ``__getattr__``, no
+    Python frame per read; guards read a handful of variables each and run
+    several times per simulator step.  The price is one namespace: a
+    variable named like an attribute of this class would shadow it (or be
+    shadowed by it), so :func:`shadowed_view_attributes` names the clashes
+    and :class:`~repro.dsl.program.ProcessProgram` rejects them.
     """
 
-    __slots__ = ("_vars", "_derived")
+    __slots__ = ("_derived", "__dict__")
 
     def __init__(self, variables: Mapping[str, Any]):
-        object.__setattr__(self, "_vars", dict(variables))
+        object.__setattr__(self, "__dict__", dict(variables))
         object.__setattr__(self, "_derived", {})
 
     @classmethod
@@ -80,28 +88,25 @@ class LocalView:
         defensive copy: the caller hands the dict over and must never
         touch it again (the runtime's path, see ``ProcessRuntime.view``)."""
         view = cls.__new__(cls)
-        object.__setattr__(view, "_vars", variables)
+        object.__setattr__(view, "__dict__", variables)
         object.__setattr__(view, "_derived", {})
         return view
 
-    def __getattr__(self, name: str) -> Any:
-        try:
-            return self._vars[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
     def __getitem__(self, name: str) -> Any:
-        return self._vars[name]
+        return self.__dict__[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._vars
+        return name in self.__dict__
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("LocalView is read-only; return updates in an Effect")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("LocalView is read-only; return updates in an Effect")
+
     def as_dict(self) -> dict[str, Any]:
         """A mutable copy of the viewed variables."""
-        return dict(self._vars)
+        return dict(self.__dict__)
 
     def derived(self, build: Callable[["LocalView"], Any]) -> Any:
         """``build(self)``, computed once per view object.
@@ -117,7 +122,14 @@ class LocalView:
         return derived[build]
 
     def __repr__(self) -> str:
-        return f"LocalView({self._vars!r})"
+        return f"LocalView({self.__dict__!r})"
+
+
+def shadowed_view_attributes(names: Iterable[str]) -> list[str]:
+    """The ``names`` a :class:`LocalView` could not serve as variables
+    (``as_dict``, ``derived``, ``adopt``, ``_derived``, any dunder of the
+    class), sorted."""
+    return sorted(name for name in names if hasattr(LocalView, name))
 
 
 Guard = Callable[[LocalView], bool]

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.dsl.guards import GuardedAction, LocalView
+from repro.dsl.guards import GuardedAction, LocalView, shadowed_view_attributes
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,14 @@ class ProcessProgram:
         object.__setattr__(self, "initial_vars", dict(self.initial_vars))
         object.__setattr__(self, "actions", tuple(self.actions))
         object.__setattr__(self, "receive_actions", tuple(self.receive_actions))
+        shadowed = shadowed_view_attributes(self.initial_vars)
+        if shadowed:
+            # Views serve variables as instance attributes: ``view.as_dict``
+            # would read the variable, ``view._derived`` never could.
+            raise ValueError(
+                f"program {self.name!r} declares variable(s) {shadowed} "
+                "that name attributes of LocalView; rename them"
+            )
         for act in self.receive_actions:
             if act.message_kind is None:
                 raise ValueError(

@@ -13,7 +13,11 @@ proxy, then asserting
 per action.  A violation here means the abstract interpreter has a
 soundness bug -- the one kind of lint defect that silently voids the
 non-interference proof -- so CI runs this as a smoke test next to the
-static pass.
+static pass.  Containment alone is satisfied by a recorder that observes
+nothing, so the check also reports how many distinct reads it saw and
+lists as ``blind`` every action that ran without a recorded read although
+it is inferred to read something (a ``DYN-BLIND`` warning; ``--strict``
+fails on it).
 
 The instrumentation is pure composition: :func:`instrument_program`
 rebuilds a :class:`~repro.dsl.program.ProcessProgram` with wrapped
@@ -49,9 +53,14 @@ class RecordingView(LocalView):
         super().__init__(variables)
         object.__setattr__(self, "_reads", reads)
 
-    def __getattr__(self, name: str) -> Any:
-        self._reads.add(name)
-        return super().__getattr__(name)
+    def __getattribute__(self, name: str) -> Any:
+        # A LocalView serves ``view.x`` from its instance dict, which a
+        # ``__getattr__`` hook never sees: watch every lookup instead.
+        # Whatever is not an attribute of the class is a variable read,
+        # present or not (programs cannot declare the class's own names).
+        if not hasattr(RecordingView, name):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
 
     def __getitem__(self, name: str) -> Any:
         self._reads.add(name)
@@ -161,9 +170,11 @@ def cross_check(
     """Run one instrumented TME simulation and check observed ⊆ inferred.
 
     Returns a JSON-able result with per-action detail; ``contained`` is the
-    overall verdict.  Guards of internal actions are evaluated every step
-    by the scheduler, so read sets get exercised even for actions that
-    never fire (e.g. the wrapper in a fault-free run).
+    overall verdict, ``blind`` the actions the recorder evidently missed
+    and ``reads_observed`` the number of distinct names read.  Guards of
+    internal actions are evaluated every step by the scheduler, so read
+    sets get exercised even for actions that never fire (e.g. the wrapper
+    in a fault-free run).
     """
     from repro.runtime.scheduler import RandomScheduler
     from repro.runtime.simulator import Simulator
@@ -189,12 +200,20 @@ def cross_check(
 
     actions = []
     violations = []
+    blind = []
+    reads_observed: set[str] = set()
     observed_count = 0
     for name in sorted(observations):
         obs = observations[name]
         claim = static[name]
+        reads_observed |= obs.reads
         if obs.guard_evals or obs.body_runs:
             observed_count += 1
+            # ``observed ⊆ inferred`` holds of a recorder that sees
+            # nothing: code that ran and is inferred to read must have
+            # been seen reading.
+            if claim.allowed_reads and not obs.reads:
+                blind.append(name)
         extra_reads = set()
         if not claim.reads_unknown:
             extra_reads = obs.reads - claim.allowed_reads
@@ -229,7 +248,9 @@ def cross_check(
         "wrapped": wrapped,
         "contained": not violations,
         "violations": violations,
+        "blind": blind,
         "actions_observed": observed_count,
+        "reads_observed": len(reads_observed),
         "actions": actions,
     }
 

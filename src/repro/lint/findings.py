@@ -247,10 +247,14 @@ class LintReport:
             )
         for check in self.cross_checks:
             status = "OK" if check["contained"] else "VIOLATED"
+            # An empty observation satisfies any containment: show its size.
+            seen = f"{check['actions_observed']} actions observed"
+            for what in ("reads", "writes"):
+                if f"{what}_observed" in check:
+                    seen += f", {check[f'{what}_observed']} distinct {what}"
             lines.append(
                 f"dynamic cross-check [{check['program']}]: {status} "
-                f"({check['steps']} steps, {check['actions_observed']} "
-                f"actions observed)"
+                f"({check['steps']} steps, {seen})"
             )
         return "\n".join(lines)
 

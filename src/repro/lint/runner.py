@@ -159,6 +159,21 @@ def lint_program(
     return analyses
 
 
+def _dynamic_finding(
+    rule: str, severity: Severity, message: str, action: str = ""
+) -> Finding:
+    """A finding of a cross-check: about a run, not a source location."""
+    return Finding(
+        path="<dynamic-cross-check>",
+        line=0,
+        col=0,
+        rule=rule,
+        severity=severity,
+        message=message,
+        action=action,
+    )
+
+
 def run_lint(
     targets: Iterable[str] = (),
     n: int = 3,
@@ -215,18 +230,25 @@ def run_lint(
                 report.cross_checks.append(result)
                 for name in result["violations"]:
                     report.findings.append(
-                        Finding(
-                            path="<dynamic-cross-check>",
-                            line=0,
-                            col=0,
-                            rule="DYN-CONTAIN",
-                            severity=Severity.ERROR,
-                            message=(
-                                f"observed access set of action {name!r} in "
-                                f"{result['program']} escapes the inferred "
-                                "static sets; the inference is unsound for "
-                                "this action"
-                            ),
+                        _dynamic_finding(
+                            "DYN-CONTAIN",
+                            Severity.ERROR,
+                            f"observed access set of action {name!r} in "
+                            f"{result['program']} escapes the inferred "
+                            "static sets; the inference is unsound for "
+                            "this action",
+                            action=name,
+                        )
+                    )
+                for name in result["blind"]:
+                    report.findings.append(
+                        _dynamic_finding(
+                            "DYN-BLIND",
+                            Severity.WARNING,
+                            f"action {name!r} in {result['program']} ran "
+                            "but no read of it was recorded, although it "
+                            "is inferred to read; the recorder is blind "
+                            "there and containment proves nothing",
                             action=name,
                         )
                     )
@@ -244,17 +266,12 @@ def run_lint(
         report.cross_checks.append(result)
         for reason in result["violations"]:
             report.findings.append(
-                Finding(
-                    path="<dynamic-cross-check>",
-                    line=0,
-                    col=0,
-                    rule="DYN-CONTAIN",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"asyncio cross-check of {result['program']}: "
-                        f"{reason}; the concurrency inference is unsound "
-                        "for this run"
-                    ),
+                _dynamic_finding(
+                    "DYN-CONTAIN",
+                    Severity.ERROR,
+                    f"asyncio cross-check of {result['program']}: "
+                    f"{reason}; the concurrency inference is unsound "
+                    "for this run",
                 )
             )
     return report

@@ -125,6 +125,8 @@ class Network:
 
     def heal_due(self, step_index: int) -> tuple[tuple[str, str], ...]:
         """Heal every link whose scheduled heal time has arrived."""
+        if not self._down:
+            return ()
         due = tuple(
             sorted(
                 link

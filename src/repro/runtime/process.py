@@ -19,11 +19,15 @@ answer and *validates* it against :attr:`ProcessRuntime.variables` by
 object identity before reuse; nothing has to tell it about a write, so
 effects, faults and callers that assign into ``variables`` directly (the
 lock frontend, tests) are all covered by the same check.
+:meth:`ProcessRuntime.execute_internal` validates the same memo and, while
+it stands, takes from it both the view the guards saw and their verdict:
+the action it is handed runs without its guard being asked a second time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import repeat
 from operator import is_
 from typing import Any, NamedTuple
 
@@ -105,18 +109,11 @@ class ProcessRuntime:
             merged.update(extra)
         return LocalView.adopt(merged)
 
-    def _current_memo(self) -> _EnabledMemo | None:
-        """The memo, if it still describes :attr:`variables`."""
-        memo = self._enabled_memo
-        if memo is not None and memo.holds_for(self.variables):
-            return memo
-        return None
-
     def _enabled(self) -> _EnabledMemo:
         """The enabled set of the current valuation, re-evaluated only
         when some variable was rebound since the last call."""
-        memo = self._current_memo()
-        if memo is None:
+        memo = self._enabled_memo
+        if memo is None or not memo.holds_for(self.variables):
             variables = self.variables
             view = self.view()
             actions = tuple(enabled_actions(self.program, view))
@@ -138,12 +135,22 @@ class ProcessRuntime:
         return self._enabled().steps
 
     def execute_internal(self, action: GuardedAction) -> Effect:
-        """Run one enabled internal action and apply its effect."""
-        # While the valuation stands, the body gets the view the guards
-        # saw, and with it what they derived (the wrapper's Lspec view).
-        memo = self._current_memo()
-        view = memo.view if memo is not None else self.view()
-        effect = action.execute(view)
+        """Run one enabled internal action and apply its effect.
+
+        While the valuation stands, the body gets the view the guards saw
+        (and with it what they derived, the wrapper's Lspec view) and the
+        memo's verdict stands in for the guard: guards are pure, so asking
+        again could only repeat it.  A valuation the memo does not
+        describe, or an action it does not list, is asked afresh, and a
+        disabled action raises.
+        """
+        memo = self._enabled_memo
+        if memo is None or not memo.holds_for(self.variables):
+            effect = action.execute(self.view())
+        elif any(map(is_, memo.actions, repeat(action))):
+            effect = action.body(memo.view)
+        else:
+            effect = action.execute(memo.view)
         self._apply(effect)
         return effect
 

@@ -131,10 +131,10 @@ class Simulator:
         steps: list[Step] = [
             chan.deliver_step
             for chan in self.network.deliverable_channels()
-            if processes[chan.dst].is_live
+            if processes[chan.dst].status != CRASHED
         ]
         for proc in processes.values():
-            if proc.is_live:
+            if proc.status != CRASHED:
                 steps.extend(proc.enabled_internal_steps())
         return steps
 
@@ -305,15 +305,16 @@ class Simulator:
         scheduled beyond it still fire -- and so replay reproduces them
         without recording extra decisions.
         """
-        events: list[str] = []
-        for link in self.network.heal_due(self.step_index):
-            events.append(f"heal:{link[0]}->{link[1]}")
-        for pid in sorted(self.processes):
-            proc = self.processes[pid]
+        now = self.step_index
+        events = [
+            f"heal:{src}->{dst}" for src, dst in self.network.heal_due(now)
+        ]
+        # ``processes`` is keyed in sorted pid order (see ``__init__``).
+        for pid, proc in self.processes.items():
             if (
                 proc.status == CRASHED
                 and proc.restart_at is not None
-                and proc.restart_at <= self.step_index
+                and proc.restart_at <= now
             ):
                 proc.restart()
                 events.append(f"restart:{pid}")

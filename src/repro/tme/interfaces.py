@@ -56,9 +56,18 @@ def tmap_set(
     frozen: tuple[tuple[str, Any], ...], key: str, value: Any
 ) -> tuple[tuple[str, Any], ...]:
     """A copy of the tuple-map with one existing key rebound."""
-    if all(k != key for k, _v in frozen):
+    found = False
+    pairs = []
+    for pair in frozen:
+        k, _v = pair
+        if k == key:
+            found = True
+            pair = (k, value)
+        pairs.append(pair)
+    if not found:
         raise KeyError(key)
-    return tuple(sorted((k, value if k == key else v) for k, v in frozen))
+    pairs.sort()
+    return tuple(pairs)
 
 
 def tmap_as_dict(frozen: tuple[tuple[str, Any], ...]) -> dict[str, Any]:
@@ -152,17 +161,18 @@ class LspecView(dict):
     """
 
     REQUIRED = ("phase", "lc", "req", "req_of", "received")
+    _REQUIRED_KEYS = frozenset(REQUIRED)
 
     def __init__(self, **kwargs: Any):
-        missing = [k for k in self.REQUIRED if k not in kwargs]
-        if missing:
-            raise ValueError(f"LspecView missing {missing}")
-        stray = [k for k in kwargs if k not in self.REQUIRED]
-        if stray:
+        if kwargs.keys() != self._REQUIRED_KEYS:
+            missing = [k for k in self.REQUIRED if k not in kwargs]
+            if missing:
+                raise ValueError(f"LspecView missing {missing}")
+            stray = [k for k in kwargs if k not in self.REQUIRED]
             raise ValueError(
                 f"LspecView may only carry the Lspec variables; got {stray}"
             )
-        super().__init__(**kwargs)
+        super().__init__(kwargs)
 
     def __getattr__(self, name: str) -> Any:
         try:
@@ -199,15 +209,12 @@ def explicit_adapter(
         req = Timestamp(0, pid)
     raw_req_of = dict(variables.get("req_of") or ())
     raw_received = dict(variables.get("received") or ())
-    req_of = {
-        k: (
-            raw_req_of[k]
-            if isinstance(raw_req_of.get(k), Timestamp)
-            else Timestamp(0, k)
-        )
-        for k in peers
-    }
-    received = {k: bool(raw_received.get(k, False)) for k in peers}
+    req_of = {}
+    received = {}
+    for k in peers:
+        copy = raw_req_of.get(k)
+        req_of[k] = copy if isinstance(copy, Timestamp) else Timestamp(0, k)
+        received[k] = bool(raw_received.get(k, False))
     phase = variables.get("phase")
     if phase not in PHASES:
         phase = THINKING

@@ -11,6 +11,11 @@ from repro.dsl import (
     always_enabled,
     sends_to_all,
 )
+from repro.dsl.guards import shadowed_view_attributes
+
+
+def adopted(mapping):
+    return LocalView.adopt(dict(mapping))
 
 
 class TestLocalView:
@@ -38,6 +43,82 @@ class TestLocalView:
         d = view.as_dict()
         d["x"] = 9
         assert view.x == 1
+
+
+@pytest.mark.parametrize("make", [LocalView, adopted])
+class TestViewConstructorsAgree:
+    """The copying constructor and the runtime's no-copy one."""
+
+    def test_attribute_and_item_access_agree(self, make):
+        view = make({"x": 1, "a.b": 2})
+        assert view.x == view["x"] == 1
+        assert view["a.b"] == 2
+
+    def test_missing_name(self, make):
+        view = make({"x": 1})
+        with pytest.raises(AttributeError):
+            view.nothing
+        with pytest.raises(KeyError):
+            view["nothing"]
+        assert getattr(view, "nothing", "default") == "default"
+
+    def test_assignment_and_deletion_raise(self, make):
+        view = make({"x": 1})
+        with pytest.raises(AttributeError):
+            view.x = 2
+        with pytest.raises(AttributeError):
+            view.y = 2
+        with pytest.raises(AttributeError):
+            del view.x
+        assert view.as_dict() == {"x": 1}
+
+    def test_only_variables_are_contained(self, make):
+        view = make({"x": 1})
+        assert "x" in view and "y" not in view
+        assert "as_dict" not in view and "_derived" not in view
+
+    def test_as_dict_is_a_copy(self, make):
+        view = make({"x": 1})
+        d = view.as_dict()
+        assert d == {"x": 1}
+        d["x"] = 9
+        assert view.x == 1 and view["x"] == 1
+
+    def test_derived_is_built_once_per_view_object(self, make):
+        built = []
+
+        def build(view):
+            built.append(view)
+            return view.x + 1
+
+        view, other = make({"x": 1}), make({"x": 1})
+        assert view.derived(build) == view.derived(build) == 2
+        assert built == [view]
+        assert other.derived(build) == 2
+        assert built == [view, other]
+        assert "build" not in view.as_dict() and view.as_dict() == {"x": 1}
+
+    def test_repr_shows_the_valuation(self, make):
+        assert repr(make({"x": 1})) == "LocalView({'x': 1})"
+
+
+class TestLocalViewStorage:
+    def test_constructor_copies_and_adopt_does_not(self):
+        source = {"x": 1}
+        copied, adopted_view = LocalView(source), LocalView.adopt(source)
+        source["x"] = 9
+        assert copied.x == 1
+        assert adopted_view.x == 9  # why the caller must let go of it
+
+    def test_reads_are_plain_instance_attribute_lookups(self):
+        """No ``__getattr__`` hook: a read never enters Python code."""
+        assert "__getattr__" not in vars(LocalView)
+        assert "__getattribute__" not in vars(LocalView)
+        assert vars(LocalView({"x": 1})) == {"x": 1}
+
+    def test_names_a_view_cannot_serve(self):
+        taken = ["_derived", "adopt", "as_dict", "derived"]
+        assert shadowed_view_attributes([*taken, "x", "_pid", "phase"]) == taken
 
 
 class TestEffect:

@@ -27,6 +27,18 @@ class TestConstruction:
                 "p", {}, actions=(make_action("a"), make_action("a"))
             )
 
+    @pytest.mark.parametrize(
+        "name", ["as_dict", "derived", "adopt", "_derived", "__class__"]
+    )
+    def test_variables_named_like_view_attributes_rejected(self, name):
+        """A view serves variables as instance attributes, so such a name
+        would shadow the view's own method (or hide behind its slot)."""
+        with pytest.raises(ValueError, match=name):
+            ProcessProgram("p", {"x": 0, name: 1})
+        composed = ProcessProgram("p", {"x": 0})
+        with pytest.raises(ValueError, match=name):
+            composed.composed_with(ProcessProgram("w", {name: 1}))
+
     def test_initial_vars_copied(self):
         source = {"x": 1}
         program = ProcessProgram("p", source)

@@ -36,6 +36,19 @@ class TestRecordingView:
         assert view.as_dict() == {"x": 1}
         assert STAR in reads
 
+    def test_records_missing_attribute_reads(self):
+        reads: set[str] = set()
+        view = RecordingView({"x": 1}, reads)
+        assert getattr(view, "absent", None) is None
+        assert reads == {"absent"}
+
+    def test_the_views_own_attributes_are_not_reads(self):
+        reads: set[str] = set()
+        view = RecordingView({"x": 1}, reads)
+        assert view.derived(lambda v: 7) == 7
+        assert repr(view) == "LocalView({'x': 1})"
+        assert reads == set()
+
     def test_still_read_only(self):
         view = RecordingView({"x": 1}, set())
         with pytest.raises(AttributeError):
@@ -97,6 +110,7 @@ class TestCrossCheck:
         )
         assert result["contained"], result["violations"]
         assert result["actions_observed"] > 0
+        assert result["reads_observed"] > 0 and not result["blind"]
         # the run must actually exercise bodies, not just guards
         assert any(a["body_runs"] > 0 for a in result["actions"])
 
@@ -126,6 +140,25 @@ class TestCrossCheck:
         result = cross_check("ra", n=3, steps=100, seed=0)
         assert not result["contained"]
         assert result["violations"]
+
+    def test_a_blind_recorder_fails_the_strict_check(self, monkeypatch, engine):
+        """``observed ⊆ inferred`` is true of a recorder that sees nothing,
+        which is what a view serving reads past the hook amounts to."""
+        import repro.lint.dynamic as dynamic
+        from repro.lint import run_lint
+
+        monkeypatch.setattr(
+            dynamic, "RecordingView", lambda variables, _reads: LocalView(variables)
+        )
+        result = cross_check("ra", n=3, steps=100, seed=0, engine=engine)
+        assert result["contained"] and result["reads_observed"] == 0
+        assert {"W:correct", "W:tick"} <= set(result["blind"])
+        report = run_lint(("tme",), dynamic=True, steps=60, engine=engine)
+        blind = [f for f in report.findings if f.rule == "DYN-BLIND"]
+        assert {f.action for f in blind} >= {"W:correct", "W:tick"}
+        assert report.exit_code(strict=False) == 0
+        assert report.exit_code(strict=True) == 1
+        assert "0 distinct reads" in report.render_text()
 
     def test_result_shape_for_reports(self, engine):
         result = cross_check("ra", n=3, steps=50, seed=1, engine=engine)

@@ -212,3 +212,150 @@ class TestValidation:
         other = proc.fork()
         proc.variables["lc"] = 1.0
         assert (names(proc), names(other)) == (["float"], ["int"])
+
+
+# -- executing on the memo's verdict -----------------------------------------
+
+
+def counting_program(guards, bodies):
+    """``up`` is enabled while ``x < 2``, ``down`` while ``x >= 2``."""
+
+    def guard(name, test):
+        def counted(v):
+            guards.append(name)
+            return test(v.x)
+
+        return counted
+
+    def body(name, step):
+        def counted(v):
+            bodies.append(name)
+            return Effect({"x": v.x + step})
+
+        return counted
+
+    return ProcessProgram(
+        "counting",
+        {"x": 0},
+        actions=(
+            GuardedAction("up", guard("up", lambda x: x < 2), body("up", 1)),
+            GuardedAction(
+                "down", guard("down", lambda x: x >= 2), body("down", -2)
+            ),
+        ),
+    )
+
+
+class TestExecuteOnTheMemo:
+    @pytest.fixture
+    def guards(self):
+        return []
+
+    @pytest.fixture
+    def bodies(self):
+        return []
+
+    @pytest.fixture
+    def runtime(self, guards, bodies):
+        return ProcessRuntime(
+            "p0", counting_program(guards, bodies), ("p0", "p1")
+        )
+
+    def test_a_listed_action_runs_its_body_and_no_guard(
+        self, runtime, guards, bodies
+    ):
+        (up,) = runtime.enabled_internal_actions()
+        assert guards == ["up", "down"]
+        effect = runtime.execute_internal(up)
+        assert effect.updates == {"x": 1} and runtime.variables["x"] == 1
+        assert (guards, bodies) == (["up", "down"], ["up"])
+
+    def test_the_body_sees_the_view_the_guards_saw(self, runtime):
+        seen = []
+        spy = GuardedAction(
+            "spy",
+            lambda v: seen.append(v) or True,
+            lambda v: seen.append(v) or Effect(),
+        )
+        runtime.program = ProcessProgram("spy", {"x": 0}, actions=(spy,))
+        runtime.execute_internal(runtime.enabled_internal_actions()[0])
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+    def test_an_unlisted_action_is_asked_and_refused(
+        self, runtime, guards, bodies
+    ):
+        runtime.enabled_internal_actions()
+        down = runtime.program.internal_action("down")
+        with pytest.raises(RuntimeError, match="while disabled"):
+            runtime.execute_internal(down)
+        assert (guards, bodies) == (["up", "down", "down"], [])
+        assert runtime.variables["x"] == 0 and runtime.steps_taken == 0
+
+    def test_an_equal_copy_of_a_listed_action_is_asked(
+        self, runtime, guards, bodies
+    ):
+        """The memo vouches for action *objects*; anything else pays."""
+        (up,) = runtime.enabled_internal_actions()
+        twin = GuardedAction(up.name, up.guard, up.body)
+        assert twin == up and twin is not up
+        runtime.execute_internal(twin)
+        assert (guards, bodies) == (["up", "down", "up"], ["up"])
+
+    def test_an_outside_write_voids_the_verdict(self, runtime, guards, bodies):
+        """The lock frontend's pattern: ``runtime.variables[...] = v``."""
+        (up,) = runtime.enabled_internal_actions()
+        down = runtime.program.internal_action("down")
+        runtime.variables["x"] = 2
+        with pytest.raises(RuntimeError, match="while disabled"):
+            runtime.execute_internal(up)  # was enabled, no longer is
+        assert bodies == []
+        runtime.execute_internal(down)  # was disabled, now runs
+        assert bodies == ["down"] and runtime.variables["x"] == 0
+        assert guards == ["up", "down", "up", "down"]
+
+    def test_no_memo_yet(self, runtime, guards, bodies):
+        up = runtime.program.internal_action("up")
+        runtime.execute_internal(up)
+        assert (guards, bodies) == (["up"], ["up"])
+
+
+def reference_candidates(sim):
+    """``candidate_steps`` spelled out through the public surface."""
+    steps = [
+        chan.deliver_step
+        for chan in sim.network.deliverable_channels()
+        if sim.processes[chan.dst].is_live
+    ]
+    for proc in sim.processes.values():
+        if proc.is_live:
+            steps.extend(proc.enabled_internal_steps())
+    return steps
+
+
+def test_candidates_with_a_crashed_process_and_a_cut_link():
+    spec = CampaignSpec("ra", n=4, root_seed=5, fault_start=0, fault_stop=0)
+    sim = build_trial_simulator(
+        spec, RandomScheduler(spawn_rng(5, 0, SCHEDULER_STREAM)), None
+    )
+    for _ in range(40):
+        sim.step()
+    assert sim.network.in_flight() > 0
+    sim.crash_process("p1", restart_at=sim.step_index + 5)
+    sim.network.cut_link("p0", "p2", heal_at=sim.step_index + 8)
+    sim.network.cut_link("p3", "p0")
+    restarts = heals = 0
+    for _ in range(30):
+        candidates = sim.candidate_steps()
+        assert candidates == reference_candidates(sim)
+        assert candidates == oracle_candidates(sim)
+        crashed = not sim.processes["p1"].is_live
+        assert crashed != any(
+            "p1" in (getattr(s, "pid", None), getattr(s, "dst", None))
+            for s in candidates
+        )
+        assert DeliverStep("p3", "p0") not in candidates
+        record = sim.step()
+        restarts += "restart:p1" in record.faults
+        heals += "heal:p0->p2" in record.faults
+    assert (restarts, heals) == (1, 1)
+    assert sim.processes["p1"].is_live and sim.network.link_up("p0", "p2")

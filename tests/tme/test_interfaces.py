@@ -152,6 +152,19 @@ class TestGrayboxView:
         with pytest.raises(GrayboxAccessError):
             self.view()["think_timer"]
 
+    def test_private_variables_rejected_over_an_adopted_view(self):
+        """The runtime hands out adopted views (``ProcessRuntime.view``)."""
+        view = GrayboxView(
+            LocalView.adopt({"phase": "h", "queue": ("secret",), "_pid": "p0"})
+        )
+        assert view.phase == "h" and view["_pid"] == "p0"
+        with pytest.raises(GrayboxAccessError):
+            view.queue
+        with pytest.raises(GrayboxAccessError):
+            view["queue"]
+        with pytest.raises(GrayboxAccessError):
+            view.as_dict
+
     def test_access_recorded(self):
         view = self.view()
         view.phase
