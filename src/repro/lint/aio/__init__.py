@@ -16,7 +16,9 @@ AIO-RACE                  error   field read before an await, reassigned after
                                   it, while a concurrently scheduled task also
                                   touches it (asyncio lost-update)
 AIO-BLOCK                 error   blocking syscall (sleep/socket/subprocess/
-                                  file IO) reachable from ``async def``
+                                  file IO) reachable from ``async def`` or from
+                                  a loop callback (Protocol method, call_soon/
+                                  call_later/call_at target)
 DET-WALLCLOCK             error   ``time.time``/``datetime.now`` -- traces must
                                   revalidate identically on any machine
 DET-GLOBALRNG             error   module-level ``random.<fn>()`` draw

@@ -1,9 +1,16 @@
-"""AIO-BLOCK: synchronous blocking calls reachable from ``async def``.
+"""AIO-BLOCK: synchronous blocking calls reachable from the event loop.
 
-A blocking syscall inside a coroutine stalls the *whole* event loop: the
+A blocking syscall on the loop's thread stalls the *whole* event loop: the
 wrapper ticks stop, heartbeats miss, and the live monitor's timing story
-degrades for every node in the process.  This detector knows a curated
-set of blocking entry points --
+degrades for every node in the process.  What runs on the loop is every
+``async def`` and every plain function the loop calls back: the
+``asyncio.Protocol`` methods (``connection_made``, ``data_received``,
+``eof_received``, ``connection_lost``; in a subclass of a package
+protocol class, also the overrides of that class's methods, which its
+callbacks dispatch to) and whatever is handed to ``call_soon`` /
+``call_later`` / ``call_at``.  The live service's hot path is exactly
+such callbacks.  This detector knows a curated set of blocking entry
+points --
 
 * ``time.sleep``
 * synchronous ``socket`` construction/resolution
@@ -12,9 +19,9 @@ set of blocking entry points --
 * file IO: builtin ``open``/``input`` and ``Path(...).open/read_*/write_*``
 
 -- and propagates them *interprocedurally*: a sync helper that opens a
-file is itself blocking, and every async function that can reach it
-through resolvable module/package-local calls is flagged at the call
-site, with the call path in the message.  Calls only *referenced* (handed
+file is itself blocking, and every coroutine or loop callback that can
+reach it through resolvable module/package-local calls is flagged at the
+call site, with the call path in the message.  Calls only *referenced* (handed
 to ``run_in_executor`` / ``to_thread`` uncalled) never match, so the
 standard offloading idioms are clean by construction.
 """
@@ -23,11 +30,27 @@ from __future__ import annotations
 
 from repro.lint.aio.model import (
     CallSite,
+    ClassModel,
     FuncModel,
     ModuleModel,
     PackageModel,
 )
+from repro.lint.aio.races import module_roots
 from repro.lint.findings import Finding, Severity
+
+#: the asyncio base classes whose methods the event loop calls
+_PROTOCOL_BASES = frozenset(
+    {
+        "BaseProtocol",
+        "Protocol",
+        "BufferedProtocol",
+        "DatagramProtocol",
+        "SubprocessProtocol",
+    }
+)
+_PROTOCOL_CALLBACKS = frozenset(
+    {"connection_made", "data_received", "eof_received", "connection_lost"}
+)
 
 _SOCKET_CALLS = frozenset(
     {
@@ -131,13 +154,53 @@ def _nearest_blocking(
     return best
 
 
+def _protocol_ancestors(
+    package: PackageModel, module: ModuleModel, cls: ClassModel
+) -> list[ClassModel] | None:
+    """The package classes ``cls`` inherits from, when the chain ends in an
+    asyncio protocol base; ``None`` when ``cls`` is not a protocol."""
+    for base in cls.bases:
+        resolved = module.resolve_chain(base)
+        if (
+            len(resolved) == 2
+            and resolved[0] == "asyncio"
+            and resolved[1] in _PROTOCOL_BASES
+        ):
+            return []
+        found = package.resolve_class(module, base)
+        if found is not None and found[1] is not cls:
+            above = _protocol_ancestors(package, *found)
+            if above is not None:
+                return [found[1]] + above
+    return None
+
+
+def loop_roots(package: PackageModel, module: ModuleModel) -> list[FuncModel]:
+    """Every function of ``module`` the event loop runs directly."""
+    roots = {
+        fn.qualname: fn for fn in module.functions.values() if fn.is_async
+    }
+    for qualname, info in module_roots(module).items():
+        if "callback" in info.kinds:
+            roots[qualname] = info.func
+    for cls in module.classes.values():
+        ancestors = _protocol_ancestors(package, module, cls)
+        if ancestors is None:
+            continue
+        dispatched = _PROTOCOL_CALLBACKS.union(
+            *(ancestor.methods for ancestor in ancestors)
+        )
+        for name, method in cls.methods.items():
+            if name in dispatched and not name.startswith("__"):
+                roots[method.qualname] = method
+    return list(roots.values())
+
+
 def blocking_findings(package: PackageModel) -> list[Finding]:
     findings: list[Finding] = []
     memo: dict = {}
     for module in package.modules.values():
-        for fn in module.functions.values():
-            if not fn.is_async:
-                continue
+        for fn in loop_roots(package, module):
             for site in fn.calls:
                 label = blocking_label(module, fn, site)
                 path: list[str] | None
@@ -155,6 +218,7 @@ def blocking_findings(package: PackageModel) -> list[Finding]:
                 if path is None:
                     continue
                 via = " -> ".join([fn.qualname] + path)
+                root_kind = "async def" if fn.is_async else "a loop callback"
                 findings.append(
                     Finding(
                         path=fn.path,
@@ -163,7 +227,7 @@ def blocking_findings(package: PackageModel) -> list[Finding]:
                         rule="AIO-BLOCK",
                         severity=Severity.ERROR,
                         message=(
-                            f"blocking call reachable from async def: {via}; "
+                            f"blocking call reachable from {root_kind}: {via}; "
                             "this stalls the event loop for every node in "
                             "the process -- await an async equivalent or "
                             "offload via run_in_executor"
@@ -174,4 +238,4 @@ def blocking_findings(package: PackageModel) -> list[Finding]:
     return findings
 
 
-__all__ = ["blocking_findings", "blocking_label"]
+__all__ = ["blocking_findings", "blocking_label", "loop_roots"]

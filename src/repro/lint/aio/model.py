@@ -108,6 +108,8 @@ class ClassModel:
 
     name: str
     line: int
+    #: raw dotted chains of the base-class expressions, in order
+    bases: tuple[tuple[str, ...], ...] = ()
     methods: dict[str, FuncModel] = field(default_factory=dict)
     #: fields assigned from an asyncio synchronization primitive
     sync_fields: set[str] = field(default_factory=set)
@@ -141,8 +143,8 @@ class PackageModel:
     name: str
     modules: dict[str, ModuleModel] = field(default_factory=dict)
 
-    def _lookup(self, dotted: str) -> FuncModel | None:
-        """Resolve ``pkg.module.func`` / ``pkg.module.Class.method``.
+    def _module_rests(self, dotted: str):
+        """Every ``(module, remainder)`` reading of a dotted path.
 
         A directory target keys its modules by the directory name
         (``service.cluster``) while the sources import by absolute name
@@ -151,12 +153,15 @@ class PackageModel:
         """
         for mod_name, module in self.modules.items():
             if dotted.startswith(mod_name + "."):
-                rest = dotted[len(mod_name) + 1 :]
+                yield module, dotted[len(mod_name) + 1 :]
             else:
                 at = dotted.find("." + mod_name + ".")
-                if at < 0:
-                    continue
-                rest = dotted[at + len(mod_name) + 2 :]
+                if at >= 0:
+                    yield module, dotted[at + len(mod_name) + 2 :]
+
+    def _lookup(self, dotted: str) -> FuncModel | None:
+        """Resolve ``pkg.module.func`` / ``pkg.module.Class.method``."""
+        for module, rest in self._module_rests(dotted):
             if rest in module.functions:
                 return module.functions[rest]
             head, _, meth = rest.partition(".")
@@ -197,6 +202,18 @@ class PackageModel:
             return module.classes[chain[0]].methods.get(chain[1])
         resolved = module.resolve_chain(chain)
         return self._lookup(".".join(resolved))
+
+    def resolve_class(
+        self, module: ModuleModel, chain: tuple[str, ...]
+    ) -> tuple[ModuleModel, ClassModel] | None:
+        """The package class a base-class expression names, if knowable."""
+        if len(chain) == 1 and chain[0] in module.classes:
+            return module, module.classes[chain[0]]
+        dotted = ".".join(module.resolve_chain(chain))
+        for candidate, rest in self._module_rests(dotted):
+            if rest in candidate.classes:
+                return candidate, candidate.classes[rest]
+        return None
 
     def reach(self, module: ModuleModel, root: FuncModel) -> list[FuncModel]:
         """Functions reachable from ``root`` via resolvable calls."""
@@ -668,7 +685,11 @@ def build_module_model(path: Path, module_name: str) -> ModuleModel:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             add_function(stmt, stmt.name, None)
         elif isinstance(stmt, ast.ClassDef):
-            cls = ClassModel(name=stmt.name, line=stmt.lineno)
+            cls = ClassModel(
+                name=stmt.name,
+                line=stmt.lineno,
+                bases=tuple(dotted_chain(base) for base in stmt.bases),
+            )
             model.classes[stmt.name] = cls
             for item in stmt.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):

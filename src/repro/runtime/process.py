@@ -22,17 +22,25 @@ lock frontend, tests) are all covered by the same check.
 :meth:`ProcessRuntime.execute_internal` validates the same memo and, while
 it stands, takes from it both the view the guards saw and their verdict:
 the action it is handed runs without its guard being asked a second time.
+
+The memo also names the *question* it answered.  The simulator always asks
+about every internal action; the live node asks about the actions it may
+run right now (``among=``: its protocol actions after each step, its
+wrapper actions when the pacing tick is due).  An answer is reused only
+for the question that produced it -- the ``among`` sequence compared by
+identity, ``None`` for the full set -- so a restricted answer is never
+served for the full question, or for another restriction.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from itertools import repeat
 from operator import is_
 from typing import Any, NamedTuple
 
 from repro.dsl.guards import Effect, GuardedAction, LocalView
-from repro.dsl.program import ProcessProgram, enabled_actions
+from repro.dsl.program import ProcessProgram
 from repro.runtime.messages import Message
 from repro.runtime.scheduler import InternalStep
 
@@ -46,13 +54,16 @@ RECOVERING = "recovering"
 
 
 class _EnabledMemo(NamedTuple):
-    """The enabled set of one valuation (immutable, shared by forks)."""
+    """The enabled actions of one valuation, among the ones asked about
+    (immutable, shared by forks)."""
 
     names: tuple[str, ...]
     values: tuple[Any, ...]
     view: LocalView
     actions: tuple[GuardedAction, ...]
     steps: tuple[InternalStep, ...]
+    #: the actions whose guards were asked; ``None`` = all of the program's
+    among: Sequence[GuardedAction] | None
 
     def holds_for(self, variables: dict[str, Any]) -> bool:
         """Is every variable still bound to the object it was bound to?
@@ -109,26 +120,43 @@ class ProcessRuntime:
             merged.update(extra)
         return LocalView.adopt(merged)
 
-    def _enabled(self) -> _EnabledMemo:
-        """The enabled set of the current valuation, re-evaluated only
-        when some variable was rebound since the last call."""
+    def _enabled(
+        self, among: Sequence[GuardedAction] | None = None
+    ) -> _EnabledMemo:
+        """The enabled actions of the current valuation among ``among``
+        (``None`` = every internal action), re-evaluated only when some
+        variable was rebound, or another question asked, since the last
+        call."""
         memo = self._enabled_memo
-        if memo is None or not memo.holds_for(self.variables):
-            variables = self.variables
+        variables = self.variables
+        if memo is None or not memo.holds_for(variables):
             view = self.view()
-            actions = tuple(enabled_actions(self.program, view))
-            memo = self._enabled_memo = _EnabledMemo(
-                tuple(variables),
-                tuple(variables.values()),
-                view,
-                actions,
-                tuple(InternalStep(self.pid, a.name) for a in actions),
-            )
+        elif memo.among is among:
+            return memo
+        else:
+            view = memo.view  # the valuation stands; only the question moved
+        asked = self.program.actions if among is None else among
+        actions = tuple([a for a in asked if a.enabled(view)])
+        memo = self._enabled_memo = _EnabledMemo(
+            tuple(variables),
+            tuple(variables.values()),
+            view,
+            actions,
+            tuple([InternalStep(self.pid, a.name) for a in actions]),
+            among,
+        )
         return memo
 
-    def enabled_internal_actions(self) -> list[GuardedAction]:
-        """Internal actions whose guards hold in the current state."""
-        return list(self._enabled().actions)
+    def enabled_internal_actions(
+        self, among: Sequence[GuardedAction] | None = None
+    ) -> list[GuardedAction]:
+        """Internal actions whose guards hold in the current state.
+
+        ``among`` restricts the question to those actions (in the order
+        given); only their guards are evaluated.  Pass the same sequence
+        object each time: the memo recognises its question by identity.
+        """
+        return list(self._enabled(among).actions)
 
     def enabled_internal_steps(self) -> tuple[InternalStep, ...]:
         """:meth:`enabled_internal_actions` as scheduler candidates."""
@@ -141,8 +169,9 @@ class ProcessRuntime:
         (and with it what they derived, the wrapper's Lspec view) and the
         memo's verdict stands in for the guard: guards are pure, so asking
         again could only repeat it.  A valuation the memo does not
-        describe, or an action it does not list, is asked afresh, and a
-        disabled action raises.
+        describe, or an action it does not list (disabled, or outside the
+        question the memo answered), is asked afresh, and a disabled
+        action raises.
         """
         memo = self._enabled_memo
         if memo is None or not memo.holds_for(self.variables):

@@ -7,9 +7,9 @@ ME1-ME3 monitoring and a persisted trace that re-validates offline.
 
 Modules:
 
-* :mod:`repro.service.wire`      -- frames and the value codec
+* :mod:`repro.service.wire`      -- frames, the frame parser, the value codec
 * :mod:`repro.service.transport` -- SocketTransport / ClusterNetwork
-* :mod:`repro.service.node`      -- the per-node asyncio runtime
+* :mod:`repro.service.node`      -- the per-node runtime (two loop callbacks)
 * :mod:`repro.service.lockapi`   -- acquire/release frontend + client
 * :mod:`repro.service.monitor`   -- LiveMonitor + trace persistence
 * :mod:`repro.service.chaos`     -- link cut/heal at runtime

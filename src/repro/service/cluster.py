@@ -112,11 +112,6 @@ class LocalCluster:
                 pid,
                 self.pids,
                 deliver=lambda message, p=pid: self.nodes[p].deliver(message),
-                client_handler=(
-                    lambda reader, writer, first, p=pid: self.frontends[
-                        p
-                    ].handle_client(reader, writer, first)
-                ),
             )
             node = ServiceNode(
                 self.runtimes[pid],
@@ -126,6 +121,7 @@ class LocalCluster:
             )
             frontend = LockFrontend(node)
             node.on_settle = frontend.poll
+            transport.client_handler = frontend
             transports[pid] = transport
             self.nodes[pid] = node
             self.frontends[pid] = frontend
@@ -247,7 +243,7 @@ class LocalCluster:
                 pass
             self._recovery_task = None
         for node in self.nodes.values():
-            await node.stop()
+            node.stop()
         for node in self.nodes.values():
             await node.transport.stop()
         report = self.monitor.report()

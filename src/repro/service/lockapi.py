@@ -29,6 +29,15 @@ Wire protocol (frames, see :mod:`repro.service.wire`):
 ``{"t": "release", "id"}`` client gives the lock back
 ``{"t": "released", "id"}``server: release completed (phase left CS)
 ========================== =============================================
+
+Both ends read through :class:`~repro.service.wire.FrameProtocol`.  The
+frontend is the transport's client handler: it is handed each client
+frame from the read callback and told when the connection is gone; a
+frame it cannot use (an ``id`` that is not a number) is refused with
+:class:`~repro.service.wire.WireError`, which closes that connection and
+releases its waiters and its hold through the ordinary disconnect path.
+:class:`LockClient` resolves the future its ``acquire``/``release`` waits
+on from the same callback.
 """
 
 from __future__ import annotations
@@ -39,15 +48,22 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.service.node import ServiceNode
-from repro.service.wire import WireError, encode_frame, read_frame
+from repro.service.wire import FrameProtocol, WireError, encode_frame
 from repro.tme.interfaces import EATING, THINKING
+
+
+def _request_id(frame: dict[str, Any], default: int) -> int:
+    try:
+        return int(frame.get("id", default))
+    except (TypeError, ValueError) as exc:
+        raise WireError(f"request id is not a number: {frame!r}") from exc
 
 
 @dataclass
 class _Waiter:
     """One outstanding acquire: which connection, which request id."""
 
-    writer: asyncio.StreamWriter
+    writer: asyncio.WriteTransport
     req_id: int
     conn_key: int
     gone: bool = False
@@ -57,7 +73,7 @@ class _Waiter:
 class _Holder:
     """The current lock holder (if any) and its release progress."""
 
-    writer: asyncio.StreamWriter
+    writer: asyncio.WriteTransport
     req_id: int
     release_requested: bool = False
     gone: bool = False
@@ -93,41 +109,19 @@ class LockFrontend:
     _conn_waiters: dict[int, list[_Waiter]] = field(default_factory=dict)
     stats: FrontendStats = field(default_factory=FrontendStats)
 
-    # -- connection handling (the transport's client_handler) -----------------
+    # -- connection handling (the transport's client handler) -----------------
 
-    async def handle_client(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first_frame: dict[str, Any],
+    def client_frame(
+        self, writer: asyncio.WriteTransport, frame: dict[str, Any]
     ) -> None:
-        """Serve one client connection until it closes."""
-        conn_key = id(writer)
-        self._conn_waiters[conn_key] = []
-        frame: dict[str, Any] | None = first_frame
-        try:
-            while frame is not None:
-                self._handle_frame(conn_key, writer, frame)
-                try:
-                    frame = await read_frame(reader)
-                except WireError:
-                    break
-        finally:
-            self._on_disconnect(conn_key, writer)
-            writer.close()
-
-    def _handle_frame(
-        self,
-        conn_key: int,
-        writer: asyncio.StreamWriter,
-        frame: dict[str, Any],
-    ) -> None:
+        """Serve one frame of the client connection ``writer``."""
         kind = frame.get("t")
-        req_id = int(frame.get("id", 0))
+        req_id = _request_id(frame, 0)
         if kind == "acquire":
+            conn_key = id(writer)
             waiter = _Waiter(writer, req_id, conn_key)
             self._pending.append(waiter)
-            self._conn_waiters[conn_key].append(waiter)
+            self._conn_waiters.setdefault(conn_key, []).append(waiter)
             self.stats.acquires += 1
             self.stats.queue_peak = max(
                 self.stats.queue_peak, len(self._pending)
@@ -146,10 +140,9 @@ class LockFrontend:
         # Unknown frames are client garbage; ignore (the connection stays).
         self.node.kick()
 
-    def _on_disconnect(
-        self, conn_key: int, writer: asyncio.StreamWriter
-    ) -> None:
-        for waiter in self._conn_waiters.pop(conn_key, []):
+    def client_lost(self, writer: asyncio.WriteTransport) -> None:
+        """The connection closed: forget its waiters, orphan its hold."""
+        for waiter in self._conn_waiters.pop(id(writer), []):
             waiter.gone = True
         holder = self._holder
         if holder is not None and holder.writer is writer:
@@ -158,11 +151,12 @@ class LockFrontend:
 
     # -- the node's settle hook -----------------------------------------------
 
-    def _send(self, writer: asyncio.StreamWriter, obj: dict[str, Any]) -> None:
-        try:
-            writer.write(encode_frame(obj))
-        except (ConnectionError, RuntimeError, OSError):
-            pass  # the disconnect path cleans up
+    def _send(
+        self, writer: asyncio.WriteTransport, obj: dict[str, Any]
+    ) -> None:
+        # a write to a connection that is closing is discarded by asyncio;
+        # client_lost() cleans up after it
+        writer.write(encode_frame(obj))
 
     def _grant_next(self) -> bool:
         while self._pending:
@@ -232,54 +226,93 @@ class LockError(ConnectionError):
     """The server went away mid-operation."""
 
 
+class _ClientConnection(FrameProtocol):
+    """The client's end of the socket: replies resolve the pending call."""
+
+    def __init__(self, client: "LockClient"):
+        super().__init__()
+        self._client = client
+        #: resolved when the connection has closed
+        self.closed: asyncio.Future[None] = (
+            asyncio.get_running_loop().create_future()
+        )
+
+    def frame_received(self, frame: dict[str, Any]) -> None:
+        self._client._on_frame(frame)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closed.set_result(None)
+        self._client._on_lost(self)
+
+
 class LockClient:
     """One lock-API connection (one logical client of the service).
 
     The per-connection protocol is sequential -- acquire, hold, release --
-    so responses are read in order; a client wanting overlapping requests
-    opens more connections (which is what the load generator does).
+    so at most one reply is awaited at a time; a client wanting
+    overlapping requests opens more connections (which is what the load
+    generator does).
     """
 
     def __init__(self) -> None:
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._connection: _ClientConnection | None = None
+        #: the reply being waited for: (kind, request id, its future)
+        self._awaited: tuple[str, int, asyncio.Future[None]] | None = None
         self._next_id = 0
 
     async def connect(self, host: str, port: int) -> None:
-        self._reader, self._writer = await asyncio.open_connection(host, port)
+        _writer, self._connection = (
+            await asyncio.get_running_loop().create_connection(
+                lambda: _ClientConnection(self), host, port
+            )
+        )
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._writer = None
-            self._reader = None
+        connection = self._connection
+        if connection is not None:
+            connection.transport.close()
+            await connection.closed
 
-    async def _expect(self, kind: str, req_id: int) -> None:
-        assert self._reader is not None
-        while True:
-            frame = await read_frame(self._reader)
-            if frame is None:
-                raise LockError(f"server closed while awaiting {kind}")
-            if frame.get("t") == kind and int(frame.get("id", -1)) == req_id:
-                return
+    def _on_frame(self, frame: dict[str, Any]) -> None:
+        if self._awaited is None:
+            return
+        kind, req_id, reply = self._awaited
+        if (
+            frame.get("t") == kind
+            and _request_id(frame, -1) == req_id
+            and not reply.done()
+        ):
+            reply.set_result(None)
+
+    def _on_lost(self, connection: _ClientConnection) -> None:
+        if connection is not self._connection:
+            return  # an earlier connection of this client
+        self._connection = None
+        if self._awaited is not None:
+            kind, _req_id, reply = self._awaited
+            if not reply.done():
+                reply.set_exception(
+                    LockError(f"server closed while awaiting {kind}")
+                )
+
+    async def _call(self, kind: str, req_id: int, reply_kind: str) -> None:
+        """Send one request frame and wait for the matching reply."""
+        if self._connection is None:
+            raise LockError("not connected")
+        reply = asyncio.get_running_loop().create_future()
+        self._awaited = (reply_kind, req_id, reply)
+        self._connection.transport.write(
+            encode_frame({"t": kind, "id": req_id})
+        )
+        await reply
 
     async def acquire(self) -> int:
         """Request the lock and wait for the grant; returns the request id."""
-        if self._writer is None:
-            raise LockError("not connected")
         self._next_id += 1
         req_id = self._next_id
-        self._writer.write(encode_frame({"t": "acquire", "id": req_id}))
-        await self._expect("grant", req_id)
+        await self._call("acquire", req_id, "grant")
         return req_id
 
     async def release(self, req_id: int) -> None:
         """Give the lock back and wait for the release to complete."""
-        if self._writer is None:
-            raise LockError("not connected")
-        self._writer.write(encode_frame({"t": "release", "id": req_id}))
-        await self._expect("released", req_id)
+        await self._call("release", req_id, "released")

@@ -5,13 +5,19 @@ cluster stamps every executed node step (and every recovery or chaos
 intervention that mutates state) with a global sequence number and feeds
 the affected process's monitored variables to :class:`LiveMonitor`.
 
-The monitor reconstructs the same :class:`~repro.runtime.trace.GlobalState`
+The monitor judges the same :class:`~repro.runtime.trace.GlobalState`
 sequence the simulator would have recorded -- one state per event, each
 differing from its predecessor in exactly one process's variables -- and
 evaluates ME1, ME2, and ME3 *incrementally*, mirroring
-:mod:`repro.tme.spec` check for check.  The equivalence is not just
-claimed: every event is also persisted as a JSONL frame, and
-:func:`revalidate_trace` rebuilds the states offline and literally calls
+:mod:`repro.tme.spec` check for check.  Because only the process that
+moved can have changed, an event costs O(1) plus, at a CS entry, one look
+at every other process: ME1 is a running count of eaters, ME2 asks the
+mover's tracker alone (a phase that stood tells a tracker nothing new),
+ME3 runs when the mover went hungry -> eating and reads the others'
+stored projections.  The states themselves are built only under
+``keep_states``.  The equivalence is not just claimed: every event is
+also persisted as a JSONL frame, and :func:`revalidate_trace` rebuilds
+the states offline and literally calls
 :func:`~repro.tme.spec.check_tme_spec` on them, so a live run's verdict
 can always be re-derived from its artifact (and the test suite asserts
 the two verdicts agree, violating traces included).
@@ -29,15 +35,16 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Any, TextIO
 
+from repro.clocks.timestamps import Timestamp
 from repro.runtime.trace import GlobalState, Trace
-from repro.service.wire import pack_value, unpack_value
+from repro.service.wire import compact_json, pack_value, unpack_value
 from repro.tme.interfaces import EATING, HUNGRY
 from repro.tme.spec import (
     FcfsViolation,
     Me2Report,
     TmeSpecReport,
+    as_request,
     check_tme_spec,
-    eating_pids,
 )
 
 #: The variables the TME spec reads, projected out of each process.
@@ -94,61 +101,56 @@ class LiveMonitor:
         self._vars: dict[str, dict[str, Any]] = {
             pid: monitored_vars(initial_vars[pid]) for pid in self.pids
         }
-        self._prev = _process_state(self._vars)
         self.keep_states = keep_states
-        self.states: list[GlobalState] = [self._prev] if keep_states else []
+        self.states: list[GlobalState] = (
+            [_process_state(self._vars)] if keep_states else []
+        )
         self._index = 0  # index of the latest state
+        self._eating = 0  # processes whose latest phase is EATING
         self.me1: list[int] = []
         self.me3: list[FcfsViolation] = []
         self._me2 = {pid: _Me2Tracker() for pid in self.pids}
         for pid in self.pids:
-            self._me2[pid].observe(0, self._prev.var(pid, "phase"))
+            phase = self._vars[pid]["phase"]
+            self._eating += phase == EATING
+            self._me2[pid].observe(0, phase)
+        if self._eating >= 2:
+            self.me1.append(0)
 
     def on_event(self, pid: str, variables: Mapping[str, Any]) -> None:
         """Consume one totally ordered event: ``pid``'s post-step state."""
-        self._vars[pid] = monitored_vars(variables)
-        cur = _process_state(self._vars)
-        self._index += 1
-        index = self._index
+        prev = self._vars[pid]
+        cur = self._vars[pid] = monitored_vars(variables)
+        index = self._index = self._index + 1
         if self.keep_states:
-            self.states.append(cur)
+            self.states.append(_process_state(self._vars))
+        was, phase = prev["phase"], cur["phase"]
         # ME1 (mirrors me1_violations).
-        if len(eating_pids(cur)) >= 2:
+        self._eating += (phase == EATING) - (was == EATING)
+        if self._eating >= 2:
             self.me1.append(index)
-        # ME2 (mirrors me2_reports).
-        for p in self.pids:
-            self._me2[p].observe(index, cur.var(p, "phase"))
-        # ME3 (mirrors me3_violations on the prev->cur transition).
-        self._check_me3(self._prev, cur, index)
-        self._prev = cur
+        # ME2 (mirrors me2_reports): nobody else's phase moved.
+        self._me2[pid].observe(index, phase)
+        # ME3 (mirrors me3_violations on the prev->cur transition): only
+        # ``pid`` can have entered, the others are where they were.
+        if phase == EATING and was == HUNGRY:
+            self._check_me3(pid, as_request(prev["req"]), index)
 
     def _check_me3(
-        self, prev: GlobalState, cur: GlobalState, index: int
+        self, entered: str, entered_req: Timestamp | None, index: int
     ) -> None:
-        from repro.tme.spec import _req  # same reading as the offline check
-
-        for k in self.pids:
-            entered = (
-                cur.var(k, "phase") == EATING
-                and prev.var(k, "phase") == HUNGRY
-            )
-            if not entered:
+        if entered_req is None:
+            return
+        for j in self.pids:
+            if j == entered:
                 continue
-            req_k = _req(prev, k)
-            if req_k is None:
-                continue
-            for j in self.pids:
-                if j == k:
-                    continue
-                if (
-                    prev.var(j, "phase") == HUNGRY
-                    and cur.var(j, "phase") == HUNGRY
-                ):
-                    req_j = _req(prev, j)
-                    if req_j is not None and req_j.lt(req_k):
-                        self.me3.append(
-                            FcfsViolation(j, req_j, k, req_k, index)
-                        )
+            other = self._vars[j]
+            if other["phase"] == HUNGRY:
+                req_j = as_request(other["req"])
+                if req_j is not None and req_j.lt(entered_req):
+                    self.me3.append(
+                        FcfsViolation(j, req_j, entered, entered_req, index)
+                    )
 
     @property
     def events_seen(self) -> int:
@@ -198,7 +200,7 @@ class TraceWriter:
         return cls(Path(path).open("w", encoding="utf-8"))
 
     def _write(self, record: dict[str, Any]) -> None:
-        self._stream.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._stream.write(compact_json(record) + "\n")
 
     def header(self, initial_vars: Mapping[str, Mapping[str, Any]]) -> None:
         self._write(
@@ -222,7 +224,10 @@ class TraceWriter:
                 "i": seq,
                 "pid": pid,
                 "act": action,
-                "vars": pack_value(monitored_vars(variables)),
+                "vars": {
+                    name: pack_value(variables.get(name))
+                    for name in MONITORED_VARS
+                },
             }
         )
 

@@ -1,4 +1,4 @@
-"""One live node: a ProcessRuntime driven by an asyncio event loop.
+"""One live node: a ProcessRuntime driven by event-loop callbacks.
 
 The simulator advances a process when its scheduler picks one of the
 process's enabled steps; a live node advances itself.  :class:`ServiceNode`
@@ -7,7 +7,7 @@ wrapper, composed exactly as in the simulator) with the event loop as the
 scheduler:
 
 * **Deliveries are immediate.**  Frames arriving from the transport are
-  queued on the node's inbox and drained as soon as the loop wakes; the
+  queued on the node's inbox and drained on the loop's next pass; the
   kernel's socket buffers play the role of the simulator's channels, and
   arrival order is whatever the wire produced (the asynchronous model
   assumes nothing more).
@@ -28,6 +28,21 @@ scheduler:
   (:mod:`repro.service.lockapi`) implements the Client Spec by setting the
   timers directly when callers acquire and release.
 
+The node asks only the guards it can act on.  There is no scheduler to
+offer the whole enabled set to, so after each step it asks its protocol
+actions alone, and it consults the wrapper when the tick is due and not
+before -- the paper's W' is consulted on a timeout, not at every step.
+The client actions are never asked.  (The runtime's enabled-set memo
+records which of these questions it answered; see
+:mod:`repro.runtime.process`.)
+
+There is no node task.  An arrival or a :meth:`ServiceNode.kick` schedules
+one ``step_batch(False)`` with ``call_soon`` unless one is already
+scheduled, so everything the loop's current pass reads off its sockets
+lands in the same batch; a repeating ``call_later(wrapper_tick_s)`` runs
+``step_batch(True)``.  A timer that fires late re-arms from when it
+fired, so W' never runs more often than once per ``wrapper_tick_s``.
+
 Every executed step reports through the ``emit`` callback so the cluster
 can stamp a totally ordered event trace for the online monitor.
 """
@@ -35,6 +50,7 @@ can stamp a totally ordered event trace for the online monitor.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from collections.abc import Callable
 
 from repro.dsl.guards import Effect, GuardedAction
@@ -44,9 +60,6 @@ from repro.service.transport import SocketTransport
 
 #: Real-time length of one wrapper scheduler step (see module docstring).
 DEFAULT_WRAPPER_TICK_S = 0.005
-
-#: Idle wait between loop wake-ups when nothing is pending.
-_IDLE_WAIT_S = 0.05
 
 #: Called after each executed step with the action (or handler) name.
 EmitFn = Callable[[str], None]
@@ -67,38 +80,45 @@ class ServiceNode:
         self.transport = transport
         self._emit = emit
         self.wrapper_tick_s = wrapper_tick_s
-        self._inbox: asyncio.Queue[Message] = asyncio.Queue()
-        self._wake = asyncio.Event()
-        self._running = False
-        self._task: asyncio.Task | None = None
+        actions = runtime.program.actions
+        self._wrapper_actions = tuple(
+            a for a in actions if a.name.startswith("W:")
+        )
+        self._protocol_actions = tuple(
+            a for a in actions if not a.name.startswith(("client:", "W:"))
+        )
+        self._inbox: deque[Message] = deque()
+        #: the loop driving the node; ``None`` while stopped
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._batch_scheduled = False
+        self._tick_handle: asyncio.TimerHandle | None = None
         self.steps_executed = 0
-        #: Called (with no arguments) whenever the loop settles, i.e. after
+        #: Called (with no arguments) whenever the node settles, i.e. after
         #: every batch of steps; the lock frontend hooks in here.  Returns
-        #: whether it changed state (so the loop re-evaluates guards).
+        #: whether it changed state (so the node re-evaluates guards).
         self.on_settle: Callable[[], bool] | None = None
 
     # -- transport-facing -----------------------------------------------------
 
     def deliver(self, message: Message) -> None:
         """Inbox a message from the wire (the transport's deliver hook)."""
-        self._inbox.put_nowait(message)
-        self._wake.set()
+        self._inbox.append(message)
+        self.kick()
 
     def kick(self) -> None:
-        """Wake the loop after out-of-band state changes (lock frontend
-        timer writes, recovery interventions)."""
-        self._wake.set()
+        """Schedule a batch: after an arrival, or after out-of-band state
+        changes (lock frontend timer writes, recovery interventions).  A
+        no-op while one is already scheduled or the node is stopped."""
+        if self._loop is not None and not self._batch_scheduled:
+            self._batch_scheduled = True
+            self._loop.call_soon(self._on_kick)
 
     def drain_inbox(self) -> int:
         """Drop all queued, undelivered messages (the cluster registers
         this as the transport's flush hook for global resets)."""
-        dropped = 0
-        while True:
-            try:
-                self._inbox.get_nowait()
-            except asyncio.QueueEmpty:
-                return dropped
-            dropped += 1
+        dropped = len(self._inbox)
+        self._inbox.clear()
+        return dropped
 
     # -- stepping -------------------------------------------------------------
 
@@ -128,29 +148,21 @@ class ServiceNode:
         label = handler.name if handler else f"recv:{message.kind}"
         self._finish_step(label, effect)
 
-    def _execute_internal(self, action: GuardedAction) -> None:
-        effect = self.runtime.execute_internal(action)
-        self._finish_step(action.name, effect)
-
-    def _next_protocol_action(self) -> GuardedAction | None:
-        """One enabled internal action that is neither client-environment
-        nor wrapper (those are handled by the lock API and by pacing)."""
-        for action in self.runtime.enabled_internal_actions():
-            if action.name.startswith(("client:", "W:")):
-                continue
-            return action
-        return None
-
-    def _next_wrapper_action(self) -> GuardedAction | None:
-        for action in self.runtime.enabled_internal_actions():
-            if action.name.startswith("W:"):
-                return action
-        return None
+    def _run_first_enabled(self, among: tuple[GuardedAction, ...]) -> bool:
+        """Execute the first enabled action of ``among`` in program order
+        (only their guards are asked); returns whether one ran."""
+        enabled = self.runtime.enabled_internal_actions(among=among)
+        if not enabled:
+            return False
+        action = enabled[0]
+        self._finish_step(action.name, self.runtime.execute_internal(action))
+        return True
 
     def step_batch(self, wrapper_due: bool) -> bool:
         """Drain the inbox and run eager actions until quiescent; run at
         most one wrapper action when the pacing tick is due.  Returns
         whether anything executed."""
+        inbox = self._inbox
         ran = False
         progressed = True
         while progressed:
@@ -158,66 +170,50 @@ class ServiceNode:
             if not self.runtime.is_live:
                 self.drain_inbox()
                 break
-            while True:
-                try:
-                    message = self._inbox.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                self._deliver_one(message)
+            while inbox:
+                self._deliver_one(inbox.popleft())
                 progressed = True
-            action = self._next_protocol_action()
-            if action is not None:
-                self._execute_internal(action)
+            if self._run_first_enabled(self._protocol_actions):
                 progressed = True
-            if wrapper_due:
-                wrapper_action = self._next_wrapper_action()
-                if wrapper_action is not None:
-                    self._execute_internal(wrapper_action)
-                    progressed = True
-                    wrapper_due = False
+            if wrapper_due and self._run_first_enabled(self._wrapper_actions):
+                progressed = True
+                wrapper_due = False
             if self.on_settle is not None and self.on_settle():
                 progressed = True
             ran = ran or progressed
         return ran
 
-    # -- the loop -------------------------------------------------------------
+    # -- the loop's two callbacks ---------------------------------------------
 
-    async def run(self) -> None:
-        """Drive the node until :meth:`stop` (the cluster's node task)."""
-        self._running = True
-        loop = asyncio.get_running_loop()
-        next_wrapper = loop.time() + self.wrapper_tick_s
-        while self._running:
-            now = loop.time()
-            wrapper_due = now >= next_wrapper
-            if wrapper_due:
-                next_wrapper = now + self.wrapper_tick_s
-            self.step_batch(wrapper_due)
-            # Sleep until woken (inbox arrival / kick) or the next wrapper
-            # tick, whichever comes first.
-            timeout = min(max(next_wrapper - loop.time(), 0.0), _IDLE_WAIT_S)
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout=timeout)
-            except asyncio.TimeoutError:
-                pass
-            self._wake.clear()
+    def _on_kick(self) -> None:
+        self._batch_scheduled = False
+        if self._loop is not None:
+            self.step_batch(False)
 
-    def start(self) -> asyncio.Task:
-        """Spawn the node loop as a task on the running event loop."""
-        if self._task is not None and not self._task.done():
-            raise RuntimeError(f"node {self.pid} already running")
-        self._task = asyncio.get_running_loop().create_task(
-            self.run(), name=f"node:{self.pid}"
+    def _arm_tick(self) -> None:
+        self._tick_handle = self._loop.call_later(
+            self.wrapper_tick_s, self._on_tick
         )
-        return self._task
 
-    async def stop(self) -> None:
-        """Stop the loop and wait for the task to unwind."""
-        self._running = False
-        self._wake.set()
-        if self._task is not None:
-            await self._task
-            self._task = None
+    def _on_tick(self) -> None:  # stop() cancels the timer: the loop is set
+        self._arm_tick()
+        self.step_batch(True)
+
+    def start(self) -> None:
+        """Attach to the running event loop: arm the wrapper tick and run
+        a first batch for whatever arrived before the start."""
+        if self._loop is not None:
+            raise RuntimeError(f"node {self.pid} already running")
+        self._loop = asyncio.get_running_loop()
+        self._arm_tick()
+        self.kick()
+
+    def stop(self) -> None:
+        """Detach from the loop: no batch runs after this returns."""
+        if self._tick_handle is not None:
+            self._tick_handle.cancel()
+            self._tick_handle = None
+        self._loop = None
 
     def __repr__(self) -> str:
         return f"ServiceNode({self.pid}, steps={self.steps_executed})"

@@ -27,21 +27,31 @@ Two implementations of the runtime's send/deliver contract live here:
 A directional link is down if either endpoint masks it; cuts are pushed
 to both ends so a cut takes effect immediately even for frames already
 buffered in the kernel.
+
+Every connection is a :class:`~repro.service.wire.FrameProtocol`: frames
+are parsed and handed on inside the socket's read callback, there is no
+reader task per connection.  A write to a lost connection does not raise,
+so a dead outbound link is noticed where asyncio reports it -- the
+outbound protocol's ``connection_lost`` forgets the writer and schedules
+the reconnect; until the new connection is up, sends to that peer count
+as dropped.  A frame a peer sends that does not parse, or parses into
+something that is not a message, is a lost message too: it is counted in
+``total_dropped()`` and the connection is closed (the peer reconnects).
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections.abc import Awaitable, Callable, Iterable
-from typing import Any
+from collections.abc import Callable, Iterable
+from typing import Any, Protocol
 
 from repro.runtime.messages import Message
 from repro.service.wire import (
+    FrameProtocol,
     WireError,
     encode_frame,
     frame_message,
     message_frame,
-    read_frame,
 )
 
 #: Delay between outbound reconnect attempts (wall pacing of IO retries
@@ -49,10 +59,79 @@ from repro.service.wire import (
 RECONNECT_DELAY_S = 0.05
 
 DeliverFn = Callable[[Message], None]
-ClientHandler = Callable[
-    [asyncio.StreamReader, asyncio.StreamWriter, dict[str, Any]],
-    Awaitable[None],
-]
+
+
+class ClientHandler(Protocol):
+    """What serves the inbound connections that are not peers (the lock
+    frontend).  ``writer`` identifies the connection and takes replies."""
+
+    def client_frame(
+        self, writer: asyncio.WriteTransport, frame: dict[str, Any]
+    ) -> None:
+        """One frame from the client; :class:`WireError` refuses it and
+        closes the connection."""
+
+    def client_lost(self, writer: asyncio.WriteTransport) -> None:
+        """The connection is gone (called once, if any frame was served)."""
+
+
+class _Inbound(FrameProtocol):
+    """One accepted connection; its first frame says whether a peer
+    (``hello``) or a lock client is on the other end."""
+
+    def __init__(self, owner: "SocketTransport"):
+        super().__init__()
+        self._owner = owner
+        self._is_peer = False
+        self._is_client = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self._owner._inbound.add(self)
+
+    def frame_received(self, frame: dict[str, Any]) -> None:
+        owner = self._owner
+        if self._is_peer:
+            owner._on_peer_frame(frame)
+        elif self._is_client:
+            owner.client_handler.client_frame(self.transport, frame)
+        elif frame.get("t") == "hello":
+            self._is_peer = True
+        elif owner.client_handler is not None:
+            self._is_client = True
+            owner.client_handler.client_frame(self.transport, frame)
+        else:
+            raise WireError("no handler for a client connection")
+
+    def frame_refused(self, error: WireError) -> None:
+        if self._is_peer:
+            # corrupted on the wire = lost, as in the fault model
+            self._owner._dropped += 1
+        super().frame_refused(error)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._owner._inbound.discard(self)
+        if self._is_client:
+            self._owner.client_handler.client_lost(self.transport)
+
+
+class _Outbound(FrameProtocol):
+    """This node's connection to one peer: written to, never read from
+    (whatever arrives on it is ignored), watched for its loss."""
+
+    def __init__(self, owner: "SocketTransport", peer: str):
+        super().__init__()
+        self._owner = owner
+        self._peer = peer
+
+    def frame_received(self, frame: dict[str, Any]) -> None:
+        pass
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        owner = self._owner
+        if owner._writers.get(self._peer) is self.transport:
+            del owner._writers[self._peer]
+            owner._schedule_reconnect(self._peer)
 
 
 class SocketTransport:
@@ -71,12 +150,13 @@ class SocketTransport:
             raise ValueError(f"{pid!r} not in {self.pids}")
         self._index = self.pids.index(pid)
         self._deliver = deliver
-        self._client_handler = client_handler
+        #: serves non-peer connections; without one they are closed
+        self.client_handler = client_handler
         self._server: asyncio.base_events.Server | None = None
         self._peer_addrs: dict[str, tuple[str, int]] = {}
-        self._writers: dict[str, asyncio.StreamWriter] = {}
+        self._writers: dict[str, asyncio.WriteTransport] = {}
         self._reconnect_tasks: dict[str, asyncio.Task] = {}
-        self._reader_tasks: set[asyncio.Task] = set()
+        self._inbound: set[_Inbound] = set()
         self._closed = False
         # Message uids: node i allocates i+1, i+1+(n+1), ... -- disjoint
         # residues mod n+1 across nodes (residue 0 is the cluster facade's),
@@ -95,8 +175,8 @@ class SocketTransport:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> tuple[str, int]:
         """Bind the node's server socket; returns the bound address."""
-        self._server = await asyncio.start_server(
-            self._on_connection, host=host, port=port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self), host=host, port=port
         )
         sock = self._server.sockets[0]
         addr = sock.getsockname()
@@ -116,9 +196,12 @@ class SocketTransport:
 
     async def _connect(self, peer: str) -> None:
         host, port = self._peer_addrs[peer]
+        loop = asyncio.get_running_loop()
         while not self._closed:
             try:
-                _reader, writer = await asyncio.open_connection(host, port)
+                writer, _protocol = await loop.create_connection(
+                    lambda: _Outbound(self, peer), host, port
+                )
                 break
             except OSError:
                 await asyncio.sleep(RECONNECT_DELAY_S)
@@ -149,67 +232,26 @@ class SocketTransport:
             task.cancel()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for connection in list(self._inbound):
+            connection.transport.close()
         for writer in self._writers.values():
             writer.close()
         self._writers.clear()
-        for task in list(self._reader_tasks):
-            task.cancel()
-        await asyncio.gather(*self._reader_tasks, return_exceptions=True)
-        self._reader_tasks.clear()
+        if self._server is not None:
+            await self._server.wait_closed()
 
     # -- inbound --------------------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.add(task)
-            task.add_done_callback(self._reader_tasks.discard)
-        try:
-            first = await read_frame(reader)
-            if first is None:
-                writer.close()
-                return
-            if first.get("t") == "hello":
-                await self._peer_loop(str(first.get("pid")), reader, writer)
-            elif self._client_handler is not None:
-                await self._client_handler(reader, writer, first)
-            else:
-                writer.close()
-        except WireError:
-            writer.close()
-        except asyncio.CancelledError:
-            # Shutdown path: stop() cancels connection handlers; exiting
-            # quietly here keeps the event loop's logger silent.
-            writer.close()
-
-    async def _peer_loop(
-        self,
-        peer: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except WireError:
-                    break
-                if frame is None:
-                    break
-                if frame.get("t") != "msg":
-                    continue
-                message = frame_message(frame)
-                if (message.sender, self.pid) in self._down:
-                    # The link was cut while this frame was in flight.
-                    self._dropped += 1
-                    continue
-                self.delivered += 1
-                self._deliver(message)
-        finally:
-            writer.close()
+    def _on_peer_frame(self, frame: dict[str, Any]) -> None:
+        if frame.get("t") != "msg":
+            return
+        message = frame_message(frame)
+        if (message.sender, self.pid) in self._down:
+            # The link was cut while this frame was in flight.
+            self._dropped += 1
+            return
+        self.delivered += 1
+        self._deliver(message)
 
     # -- the Transport contract ----------------------------------------------
 
@@ -244,17 +286,16 @@ class SocketTransport:
         )
         self.sent_by_kind[kind] = self.sent_by_kind.get(kind, 0) + 1
         writer = self._writers.get(receiver)
-        if (sender, receiver) in self._down or writer is None:
+        if (
+            (sender, receiver) in self._down
+            or writer is None
+            or writer.is_closing()
+        ):
             # Cut link or no connection: the send happens but the frame is
             # lost on the wire (same contract as Network.send).
             self._dropped += 1
             return message
-        try:
-            writer.write(encode_frame(message_frame(message)))
-        except (ConnectionError, RuntimeError, OSError):
-            self._dropped += 1
-            self._writers.pop(receiver, None)
-            self._schedule_reconnect(receiver)
+        writer.write(encode_frame(message_frame(message)))
         return message
 
     def _check_incident(self, src: str, dst: str) -> None:

@@ -117,9 +117,14 @@ class FcfsViolation:
     entry_index: int
 
 
-def _req(state: GlobalState, pid: str) -> Timestamp | None:
-    value = state.var(pid, "req")
+def as_request(value: object) -> Timestamp | None:
+    """A ``req`` value as ME3 reads it: anything but a timestamp (a
+    corrupted variable) is no request."""
     return value if isinstance(value, Timestamp) else None
+
+
+def _req(state: GlobalState, pid: str) -> Timestamp | None:
+    return as_request(state.var(pid, "req"))
 
 
 def me3_violations(

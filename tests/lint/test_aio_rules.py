@@ -23,6 +23,7 @@ _MARK_RE = re.compile(r"#\s*MARK\[(?P<rule>[A-Z\-]+)\]")
 GOLDEN = [
     "racy_await.py",
     "blocking_async.py",
+    "blocking_callbacks.py",
     "replay_escape.py",
     "fork_capture.py",
     "det_dirty.py",

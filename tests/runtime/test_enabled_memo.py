@@ -319,6 +319,126 @@ class TestExecuteOnTheMemo:
         assert (guards, bodies) == (["up"], ["up"])
 
 
+class TestRestrictedQuestion:
+    """``among=``: the live node asks about the actions it can run now."""
+
+    @pytest.fixture
+    def guards(self):
+        return []
+
+    @pytest.fixture
+    def bodies(self):
+        return []
+
+    @pytest.fixture
+    def runtime(self, guards, bodies):
+        return ProcessRuntime(
+            "p0", counting_program(guards, bodies), ("p0", "p1")
+        )
+
+    @pytest.fixture
+    def up(self, runtime):
+        return (runtime.program.internal_action("up"),)
+
+    @pytest.fixture
+    def down(self, runtime):
+        return (runtime.program.internal_action("down"),)
+
+    def test_only_the_guards_asked_about_are_evaluated(
+        self, runtime, up, down, guards
+    ):
+        assert runtime.enabled_internal_actions(among=up) == list(up)
+        assert guards == ["up"]
+        assert runtime.enabled_internal_actions(among=up) == list(up)
+        assert guards == ["up"]  # same question, same valuation: the memo
+        assert runtime.enabled_internal_actions(among=down) == []
+        assert guards == ["up", "down"]
+
+    def test_order_is_the_order_asked(self, runtime, guards):
+        runtime.variables["x"] = 2
+        both = tuple(reversed(runtime.program.actions))
+        assert [a.name for a in runtime.enabled_internal_actions(among=both)] == [
+            "down"
+        ]
+        assert guards == ["down", "up"]
+
+    def test_a_restricted_answer_is_never_served_for_the_full_question(
+        self, runtime, down, guards
+    ):
+        assert runtime.enabled_internal_actions(among=down) == []
+        assert [a.name for a in runtime.enabled_internal_actions()] == ["up"]
+        assert [s.action for s in runtime.enabled_internal_steps()] == ["up"]
+        assert guards == ["down", "up", "down"]
+
+    def test_nor_the_full_answer_for_a_restricted_question(
+        self, runtime, down, guards
+    ):
+        assert [a.name for a in runtime.enabled_internal_actions()] == ["up"]
+        assert runtime.enabled_internal_actions(among=down) == []
+        assert guards == ["up", "down", "down"]
+
+    def test_nor_for_another_restriction_even_an_equal_one(
+        self, runtime, up, guards
+    ):
+        """The question is recognised by identity, like the values."""
+        twin = (*up,)  # ``tuple(up)`` would be ``up`` itself
+        assert twin == up and twin is not up
+        runtime.enabled_internal_actions(among=up)
+        runtime.enabled_internal_actions(among=twin)
+        assert guards == ["up", "up"]
+
+    def test_a_changed_question_reuses_the_view_of_a_standing_valuation(
+        self, runtime
+    ):
+        seen = []
+        spy = GuardedAction("spy", lambda v: seen.append(v) or True, None)
+        runtime.enabled_internal_actions(among=(spy,))
+        runtime.enabled_internal_actions(among=(spy,))
+        assert len(seen) == 2 and seen[0] is seen[1]
+        runtime.variables["x"] = 5
+        runtime.enabled_internal_actions(among=(spy,))
+        assert seen[2] is not seen[0] and seen[2].x == 5
+
+    def test_a_listed_action_runs_its_body_and_no_further_guard(
+        self, runtime, up, guards, bodies
+    ):
+        (action,) = runtime.enabled_internal_actions(among=up)
+        runtime.execute_internal(action)
+        assert (guards, bodies) == (["up"], ["up"])
+        assert runtime.variables["x"] == 1
+
+    def test_an_action_outside_the_question_is_asked_when_executed(
+        self, runtime, up, down, guards, bodies
+    ):
+        runtime.enabled_internal_actions(among=down)  # nothing enabled
+        runtime.execute_internal(up[0])  # enabled, but the memo cannot know
+        assert (guards, bodies) == (["down", "up"], ["up"])
+        runtime.enabled_internal_actions(among=up)
+        with pytest.raises(RuntimeError, match="while disabled"):
+            runtime.execute_internal(down[0])
+        assert bodies == ["up"] and runtime.variables["x"] == 1
+
+    def test_an_outside_write_voids_a_restricted_answer_too(
+        self, runtime, up, guards, bodies
+    ):
+        (action,) = runtime.enabled_internal_actions(among=up)
+        runtime.variables["x"] = 2
+        assert runtime.enabled_internal_actions(among=up) == []
+        with pytest.raises(RuntimeError, match="while disabled"):
+            runtime.execute_internal(action)
+        assert bodies == []
+
+    def test_a_fork_inherits_the_question_with_the_answer(
+        self, runtime, up, guards
+    ):
+        runtime.enabled_internal_actions(among=up)
+        child = runtime.fork()
+        assert child.enabled_internal_actions(among=up) == list(up)
+        assert guards == ["up"]
+        assert [a.name for a in child.enabled_internal_actions()] == ["up"]
+        assert guards == ["up", "up", "down"]
+
+
 def reference_candidates(sim):
     """``candidate_steps`` spelled out through the public surface."""
     steps = [

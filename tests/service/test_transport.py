@@ -94,6 +94,68 @@ class TestSocketTransport:
         assert delivered == 0
         assert dropped == 1
 
+    def test_dead_outbound_link_is_noticed_and_reconnected(self, caplog):
+        """A write to a lost connection does not raise, so no send ever
+        fails: the outbound side must notice the loss itself."""
+
+        async def scenario():
+            inboxes = {pid: [] for pid in PIDS}
+            transports = await make_pair(inboxes)
+            p0, p1 = transports["p0"], transports["p1"]
+            p0.send("request", "p0", "p1", 0)
+            assert await drain(lambda: inboxes["p1"])
+            # p1 drops the connection p0 writes to
+            for connection in list(p1._inbound):
+                connection.transport.close()
+            assert await drain(lambda: "p1" not in p0._writers)
+            p0.send("request", "p0", "p1", "while down")
+            lost = (p0.total_dropped(), len(inboxes["p1"]))
+            assert await drain(lambda: "p1" in p0._writers)
+            for i in range(1, 21):
+                p0.send("request", "p0", "p1", i)
+            resumed = await drain(lambda: len(inboxes["p1"]) == 21)
+            await stop_all(transports)
+            return lost, resumed, [m.payload for m in inboxes["p1"]]
+
+        lost, resumed, payloads = asyncio.run(scenario())
+        assert lost == (1, 1)  # counted as dropped, not delivered
+        assert resumed and payloads == list(range(21))
+        assert "socket.send() raised" not in caplog.text
+
+    def test_malformed_peer_frames_are_dropped_not_raised(self, caplog):
+        """Corrupted on the wire = lost: counted, connection closed, and
+        nothing reaches the loop's exception handler."""
+        from repro.service.wire import encode_frame
+
+        hostile = [
+            b"\x00\x00\x00\x04{bad",
+            encode_frame({"t": "msg"}),
+            encode_frame({"t": "msg", "uid": 1, "kind": "k", "src": "p0",
+                          "dst": "p1", "payload": {"%ts": "x"}}),
+            (1 << 30).to_bytes(4, "big"),
+        ]
+
+        async def scenario():
+            inboxes = {pid: [] for pid in PIDS}
+            transports = await make_pair(inboxes)
+            host, port = transports["p1"]._server.sockets[0].getsockname()[:2]
+            for blob in hostile:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(encode_frame({"t": "hello", "pid": "p0"}) + blob)
+                assert await reader.read() == b""  # p1 closed the connection
+                writer.close()
+            dropped = transports["p1"].total_dropped()
+            # the real p0 -> p1 link is unharmed
+            transports["p0"].send("request", "p0", "p1", "ok")
+            assert await drain(lambda: inboxes["p1"])
+            await stop_all(transports)
+            return dropped, inboxes["p1"]
+
+        dropped, delivered = asyncio.run(scenario())
+        assert dropped == len(hostile)
+        assert [m.payload for m in delivered] == ["ok"]
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_uid_residues_disjoint_across_nodes(self):
         async def scenario():
             inboxes = {pid: [] for pid in PIDS}

@@ -1,21 +1,22 @@
 """Wire codec: tagged values, framing, and message round-trips."""
 
-import asyncio
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.clocks.timestamps import Timestamp
 from repro.runtime.messages import Message
 from repro.service.wire import (
     MAX_FRAME_BYTES,
+    FrameProtocol,
     WireError,
     decode_body,
     encode_frame,
     frame_message,
     message_frame,
     pack_value,
-    read_frame,
     unpack_value,
 )
 
@@ -77,45 +78,96 @@ class TestValueCodec:
             unpack_value({"%tup": [], "extra": 1})
 
 
+class RecordingParser(FrameProtocol):
+    """The parser with no socket behind it: what it dispatched, what it
+    refused, and the most it ever held back."""
+
+    def __init__(self):
+        super().__init__()
+        self.frames = []
+        self.refused = []
+        self.peak_buffered = 0
+
+    def frame_received(self, frame):
+        self.frames.append(frame)
+
+    def frame_refused(self, error):
+        self.refused.append(error)
+        super().frame_refused(error)
+
+    def feed(self, chunks):
+        for chunk in chunks:
+            self.data_received(chunk)
+            self.peak_buffered = max(self.peak_buffered, self.buffered())
+        return self
+
+
 class TestFraming:
     def test_frame_roundtrip_across_chunk_boundaries(self):
         frames = [
             {"t": "msg", "n": i, "body": "x" * (i * 7)} for i in range(5)
         ]
         blob = b"".join(encode_frame(f) for f in frames)
-
-        async def read_all():
-            reader = asyncio.StreamReader()
-            # Feed in awkward chunks so length prefixes straddle reads.
-            for i in range(0, len(blob), 3):
-                reader.feed_data(blob[i : i + 3])
-            reader.feed_eof()
-            out = []
-            while (frame := await read_frame(reader)) is not None:
-                out.append(frame)
-            return out
-
-        assert asyncio.run(read_all()) == frames
+        # Feed in awkward chunks so length prefixes straddle reads.
+        parser = RecordingParser().feed(
+            blob[i : i + 3] for i in range(0, len(blob), 3)
+        )
+        assert parser.frames == frames
+        assert parser.refused == [] and parser.buffered() == 0
 
     def test_eof_mid_frame_is_none(self):
-        async def read_one():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_frame({"t": "msg"})[:3])
-            reader.feed_eof()
-            return await read_frame(reader)
-
-        assert asyncio.run(read_one()) is None
+        parser = RecordingParser().feed([encode_frame({"t": "msg"})[:3]])
+        assert not parser.eof_received()  # the transport closes itself
+        assert parser.frames == [] and parser.refused == []
 
     def test_oversized_length_prefix_raises(self):
-        async def read_one():
-            reader = asyncio.StreamReader()
-            reader.feed_data(
-                (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"x"
-            )
-            return await read_frame(reader)
+        parser = RecordingParser().feed(
+            [(MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"x"]
+        )
+        assert parser.frames == []
+        assert len(parser.refused) == 1
+        assert isinstance(parser.refused[0], WireError)
+        assert parser.buffered() == 0  # nothing of the body was kept
 
-        with pytest.raises(WireError):
-            asyncio.run(read_one())
+    def test_frames_before_a_bad_one_are_served_and_later_ones_are_not(self):
+        good = encode_frame({"t": "msg"})
+        parser = RecordingParser().feed([good + b"\x00\x00\x00\x04{bad" + good])
+        assert parser.frames == [{"t": "msg"}]
+        assert len(parser.refused) == 1 and parser.buffered() == 0
+
+    def test_a_handler_may_refuse_a_frame(self):
+        class Picky(RecordingParser):
+            def frame_received(self, frame):
+                if "id" not in frame:
+                    raise WireError("no id")
+                super().frame_received(frame)
+
+        parser = Picky().feed(
+            [encode_frame({"id": 1}) + encode_frame({}) + encode_frame({"id": 2})]
+        )
+        assert parser.frames == [{"id": 1}] and len(parser.refused) == 1
+
+    @given(
+        frames=st.lists(
+            st.dictionaries(
+                st.text(max_size=4),
+                st.one_of(st.integers(), st.text(max_size=12), st.none()),
+                max_size=3,
+            ),
+            max_size=6,
+        ),
+        cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=12),
+    )
+    def test_any_chunking_yields_the_same_frames_in_order(self, frames, cuts):
+        blob = b"".join(encode_frame(f) for f in frames)
+        edges = sorted({0, len(blob), *(c for c in cuts if c < len(blob))})
+        chunks = [blob[a:b] for a, b in zip(edges, edges[1:])]
+        parser = RecordingParser().feed(chunks)
+        assert parser.frames == frames and parser.refused == []
+        assert parser.buffered() == 0
+        # never more than an unfinished frame is held back
+        longest = max((len(encode_frame(f)) for f in frames), default=0)
+        assert parser.peak_buffered < max(longest, 1)
 
     def test_oversized_body_rejected_on_encode(self):
         with pytest.raises(WireError):
@@ -124,6 +176,13 @@ class TestFraming:
     def test_non_object_body_rejected(self):
         with pytest.raises(WireError):
             decode_body(b"[1,2]")
+
+    @pytest.mark.parametrize(
+        "body", [b"{bad", b"\xff\xfe{}", b"", b"[" * 100_000]
+    )
+    def test_undecodable_body_is_a_wire_error(self, body):
+        with pytest.raises(WireError):
+            decode_body(body)
 
 
 class TestMessageFrames:
@@ -148,6 +207,24 @@ class TestMessageFrames:
         assert back.sender_clock == 5
         # Event uids are simulator-local; they never cross the wire.
         assert back.send_event_uid is None
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"t": "msg"},
+            {"t": "msg", "uid": "x", "kind": "k", "src": "a", "dst": "b",
+             "payload": None},
+            {"t": "msg", "uid": 1, "kind": "k", "src": "a", "dst": "b",
+             "payload": {"%ts": 5}},
+            {"t": "msg", "uid": 1, "kind": "k", "src": "a", "dst": "b",
+             "payload": {"%map": [[[1], 2]]}},
+            {"t": "msg", "uid": 1, "kind": "k", "src": "a", "dst": "b",
+             "payload": None, "clock": "soon"},
+        ],
+    )
+    def test_missing_or_ill_typed_fields_are_a_wire_error(self, frame):
+        with pytest.raises(WireError):
+            frame_message(frame)
 
     def test_clockless_message(self):
         message = Message(
