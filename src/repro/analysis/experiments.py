@@ -887,7 +887,7 @@ def experiment_churn(
 
 
 # ---------------------------------------------------------------------------
-# E18 -- sharded exploration: scaling and checkpoint/resume
+# E18 -- out-of-core exploration: the journal's cost, and resume
 # ---------------------------------------------------------------------------
 
 
@@ -895,23 +895,21 @@ def experiment_parallel(
     algorithm: str = "ra",
     n: int = 4,
     max_depth: int = 10,
-    workers: tuple[int, ...] = (1, 2, 4),
 ) -> list[Row]:
-    """E18: the sharded BFS engine against the whitebox cost argument.
+    """E18: what it costs to make the whitebox enumeration kill-safe.
 
     Section 1's whitebox complaint is about the *size* of the global
-    state space; sharding answers the matching systems question -- can
-    the enumeration at least be partitioned?  Every row explores the
-    same symmetric quotient; the sharded rows must land on the
-    bit-identical visited set (same count, same content digest) at every
-    worker count, because shard-local dedup plus the level-committed
-    rank merge reproduces the serial admission order exactly.  The last
-    two rows journal the run to disk (out-of-core store) and then
-    *resume* it from the committed checkpoint: the replay admits every
-    journalled state without re-expanding the interior, so its
-    throughput is pure IO.  ``speedup`` is honest wall-clock -- on a
-    single-core runner the extra processes cost more than they buy, and
-    the column says so.
+    state space: at scale the enumeration outgrows RAM and outlives the
+    process running it.  Every row explores the same symmetric quotient
+    with the same loop and must land on the bit-identical visited set
+    (same count, same content digest).  ``checkpointed`` keeps only
+    16-byte digests in RAM and journals every admitted state to disk,
+    committed level by level; ``resumed`` replays that journal -- no
+    state below the last committed level is expanded again, so its time
+    is reading digests back and rebuilding that one level's nodes.
+    ``speedup`` is honest wall-clock against ``serial``.
+    (Sharding the BFS across processes was measured here through PR 20
+    and lost to the serial engine at every size; see DESIGN decision 12.)
     """
     import tempfile
     import time
@@ -942,27 +940,16 @@ def experiment_parallel(
             "spilled_kib": round(run.stats.spill_bytes / 1024, 1),
         }, digest
 
-    rows: list[Row] = []
-    serial_row, serial_digest = timed("serial", workers=1)
+    serial_row, serial_digest = timed("serial")
     serial_row["speedup"] = "1.00x"
     serial_rate = float(serial_row["states_per_sec"])
-    rows.append(serial_row)
-    for count in workers:
-        if count <= 1:
-            continue
-        row, digest = timed(f"sharded x{count}", workers=count)
-        row["speedup"] = f"{float(row['states_per_sec']) / serial_rate:.2f}x"
-        assert digest == serial_digest
-        rows.append(row)
-
+    rows: list[Row] = [serial_row]
     with tempfile.TemporaryDirectory() as store_dir:
-        row, digest = timed("checkpointed x2", workers=2, store_dir=store_dir)
+        row, digest = timed("checkpointed", store_dir=store_dir)
         row["speedup"] = f"{float(row['states_per_sec']) / serial_rate:.2f}x"
         assert digest == serial_digest
         rows.append(row)
-        row, digest = timed(
-            "resumed x2", workers=2, store_dir=store_dir, resume=True
-        )
+        row, digest = timed("resumed", store_dir=store_dir, resume=True)
         row["speedup"] = "-"
         assert digest == serial_digest
         rows.append(row)

@@ -60,7 +60,7 @@ EXPERIMENTS: dict[str, tuple[str, str]] = {
     "E14": ("experiment_refinement", "basic vs refined wrapper"),
     "E16": ("experiment_campaign", "Monte-Carlo convergence-latency campaign"),
     "E17": ("experiment_churn", "crash-restart/partition churn with recovery"),
-    "E18": ("experiment_parallel", "sharded exploration scaling and resume"),
+    "E18": ("experiment_parallel", "out-of-core exploration and resume"),
     "E19": ("experiment_service", "live lock service under load and chaos"),
     "E20": ("experiment_killsafe", "kill/resume campaign digest stability"),
 }
@@ -147,12 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-time budget for the exploration",
     )
     explore.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool workers for global exploration (1 = serial)",
-    )
-    explore.add_argument(
         "--max-clock",
         type=int,
         default=6,
@@ -176,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help=(
-            "spill visited states to append-only journals in DIR and "
+            "spill visited states to an append-only journal in DIR and "
             "checkpoint every BFS level (out-of-core exploration; "
             "global space only)"
         ),
@@ -683,7 +677,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.tme import ClientConfig, tme_programs
 
     if args.resume and args.store_dir is None:
-        print("--resume needs --store-dir (the journals to resume from)")
+        print("--resume needs --store-dir (the journal to resume from)")
         return 2
     programs = tme_programs(
         args.algorithm, args.n, ClientConfig(think_delay=1, eat_delay=1)
@@ -730,7 +724,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             max_depth=args.max_depth,
             max_states=args.max_states,
             max_seconds=args.max_seconds,
-            workers=args.workers,
             profile=args.profile,
             store_dir=(
                 None if args.store_dir is None else str(args.store_dir)
@@ -739,12 +732,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         )
         surface = "global space"
         digest = result.content_digest()
-        # Shard workers evaluate in their own forked copies of the space.
-        evaluations = (
-            space.local_evaluations
-            if args.workers == 1 and args.store_dir is None
-            else None
-        )
+        evaluations = space.local_evaluations
     line = (
         f"{args.algorithm} n={args.n}: {surface}, "
         f"{result.states} distinct states"

@@ -5,7 +5,7 @@ See :mod:`repro.explore.engine` for the engine and its instrumentation,
 global simulator spaces, per-process local spaces),
 :mod:`repro.explore.canon` for process-permutation symmetry reduction,
 :mod:`repro.explore.store` for the interned packed visited store, and
-:mod:`repro.explore.parallel` for process-pool expansion.
+:mod:`repro.explore.shard` for the journalled, resumable one.
 """
 
 from repro.explore.canon import (

@@ -18,8 +18,9 @@ key function :class:`NodeKeys`), with
 The searched object is abstracted behind the
 :class:`~repro.explore.spaces.StateSpace` protocol; see
 :mod:`repro.explore.spaces` for the three concrete adapters and
-:mod:`repro.explore.parallel` for the optional process-pool expansion
-mode used by global exploration.
+:mod:`repro.explore.shard` for the journalled digest store the same loop
+runs over when a ``store_dir`` makes the exploration out-of-core and
+resumable.
 """
 
 from __future__ import annotations
@@ -132,8 +133,6 @@ class ExplorationStats:
         Whether the search stopped early and why (``"max_states"`` or
         ``"time_budget"``); a pure depth bound is *not* a truncation --
         the bounded space was explored exhaustively.
-    ``workers``
-        Process-pool size used for expansion (1 = in-process).
     ``orbit_reductions``
         Examined keys (roots and successors, duplicates included) that
         symmetry canonicalization rewrote to a different orbit
@@ -147,21 +146,15 @@ class ExplorationStats:
         only): a hit means an examined key's canonical form was served
         from the blob-keyed cache without touching the permutation
         group.
-    ``shard_states``
-        Per-shard visited counts of a sharded run (empty for serial
-        runs) -- the shard-balance view of the hash partition.
-    ``batches``
-        Worker-to-worker proposal batches that crossed inter-process
-        queues (the coordinator's seed batches are not counted).
     ``reexpansions``
         States re-expanded by a checkpoint resume: the last committed
         frontier level is expanded again because expansions are never
         journalled (they are deterministic from the durable members).
     ``spill_bytes``
-        Bytes appended to on-disk shard journals (0 without a
+        Bytes appended to the on-disk journal (0 without a
         ``store_dir``).
     ``resumed_states``
-        States seeded from replayed checkpoint journals.
+        States replayed from the checkpoint journal.
     ``profile``
         Per-phase wall-clock breakdown (only when the exploration ran
         with ``profile=True``).
@@ -178,13 +171,10 @@ class ExplorationStats:
     elapsed_seconds: float
     truncated: bool
     truncation_cause: str | None
-    workers: int = 1
     orbit_reductions: int = 0
     bytes_per_state: float = 0.0
     canon_cache_hits: int = 0
     canon_cache_misses: int = 0
-    shard_states: tuple[int, ...] = ()
-    batches: int = 0
     reexpansions: int = 0
     spill_bytes: int = 0
     resumed_states: int = 0
@@ -216,12 +206,8 @@ class ExplorationStats:
         """One-line human-readable summary."""
         text = (
             f"{self.states} states in {self.elapsed_seconds:.3f}s "
-            f"({self.states_per_second:,.0f} states/s, {self.strategy}"
-        )
-        if self.workers > 1:
-            text += f" x{self.workers} workers"
-        text += (
-            f"), depth {self.depth_reached}, "
+            f"({self.states_per_second:,.0f} states/s, {self.strategy}), "
+            f"depth {self.depth_reached}, "
             f"dedup {self.dedup_hit_rate:.0%}, "
             f"peak frontier {self.peak_frontier}"
         )
@@ -229,9 +215,6 @@ class ExplorationStats:
             text += f", {self.orbit_reductions} orbit rewrites"
         if self.canon_cache_hits or self.canon_cache_misses:
             text += f", canon cache {self.canon_cache_hit_rate:.0%}"
-        if self.shard_states:
-            lo, hi = min(self.shard_states), max(self.shard_states)
-            text += f", shards {lo}-{hi}"
         if self.reexpansions:
             text += f", {self.reexpansions} re-expansions"
         if self.spill_bytes:
@@ -296,7 +279,7 @@ class Exploration:
     def content_digest(self) -> str:
         """Order-independent 128-bit digest of the visited set.
 
-        Serial, sharded, and checkpoint-resumed explorations of the
+        In-memory, journalled and checkpoint-resumed explorations of the
         same bounded space produce the same hex string (the XOR of
         per-state wire digests plus the cardinality -- see
         :mod:`repro.explore.wire`), so it serves as the re-validation
@@ -416,9 +399,9 @@ class NodeKeys:
 
     :attr:`blobs` tells the first two from the third (the store takes
     blobs through ``add_packed``), :attr:`decode` maps a dedup key back
-    to the key it stands for.  The serial engine, the sharded engine's
-    warm start and its shard workers all admit through :attr:`of`, so
-    they agree on "already visited" by construction.
+    to the key it stands for.  In-memory and journalled explorations
+    both admit through :attr:`of`, so they agree on "already visited" by
+    construction.
     """
 
     __slots__ = ("of", "decode", "blobs", "canonical", "_stats", "_seen0")
@@ -476,10 +459,10 @@ def search(
     max_seconds: float | None,
     started: float,
     on_visit: Callable[[Hashable, int], None] | None = None,
-    handoff: int | None = None,
+    frontier: Iterable[tuple[Any, int]] | None = None,
     phases: _PhaseClock | None = None,
-) -> tuple[ExplorationStats, deque[tuple[Any, int]], list[int]]:
-    """The in-process frontier loop: the one admission path.
+) -> ExplorationStats:
+    """The frontier loop: the one admission path.
 
     Admits ``space``'s nodes into ``visited`` (``add`` / ``add_packed``,
     ``in`` / ``contains_packed``, ``len``, ``bytes_per_state``) through
@@ -487,17 +470,13 @@ def search(
     bound cuts the search: the first-seen member of an orbit is the one
     expanded, and ``max_states`` stops at the first fresh state over the
     budget (duplicates examined before it still count as dedup hits).
-    :func:`explore` runs it to the end over the space's own store; the
-    sharded engine runs it as its warm start over wire digests.
 
-    ``handoff`` (BFS only) stops at the first level holding at least that
-    many nodes that ``max_depth`` would still expand, and leaves the
-    level in the returned frontier, in admission order.  A state's rank
-    is its admission index, so the frontier holds the last
-    ``len(frontier)`` ranks.  With ``handoff`` the third result lists the
-    size of every level entered (fully admitted, by BFS order); a
-    frontier returned non-empty is always a handoff -- a truncated search
-    returns it empty.
+    ``frontier`` seeds the loop with ``(node, depth)`` pairs already in
+    ``visited`` -- a checkpoint's last committed level, in admission
+    order -- in place of admitting the roots.  A store that publishes
+    ``commit_level(depth, size)`` (a journal; BFS only) is told each
+    level edge: the first pop at ``depth`` means that level is fully
+    admitted and holds ``size`` states, none of them expanded yet.
     """
     successors = space.successors
     key_of = keys.of
@@ -511,7 +490,8 @@ def search(
             key_of = phases.canonicalizer(key_of)
         add = phases.adder(add)
     decode = keys.decode
-    frontier: deque[tuple[Any, int]] = deque()
+    commit_level = getattr(visited, "commit_level", None)
+    queue: deque[tuple[Any, int]] = deque()
 
     def admit(nodes: Iterable[Any], depth: int) -> tuple[int, int, int, bool]:
         """Admit ``nodes`` (the roots, or one node's successors) at
@@ -536,19 +516,25 @@ def search(
             # The frontier keeps the first-seen orbit member: ``node``
             # is reachable by construction, while the canonical
             # representative may be a renaming never actually executed.
-            frontier.append((node, depth))
+            queue.append((node, depth))
         return examined, duplicates, rewrites, True
 
-    # Roots are the successors of nothing; they are neither transitions
-    # nor dedup hits.
-    _, _, orbit_reductions, within = admit(space.roots(), 0)
-    cause = None if within else TRUNCATED_BY_STATES
-    peak_frontier = len(frontier)
-    expansions = transitions = dedup_hits = depth_reached = 0
+    cause = None
+    orbit_reductions = 0
+    if frontier is not None:
+        queue.extend(frontier)
+    else:
+        # Roots are the successors of nothing; they are neither
+        # transitions nor dedup hits.
+        _, _, orbit_reductions, within = admit(space.roots(), 0)
+        if not within:
+            cause = TRUNCATED_BY_STATES
+    peak_frontier = len(queue)
+    expansions = transitions = dedup_hits = 0
+    depth_reached = -1
     depth_limited = False
-    levels: list[int] = []
-    pop = frontier.popleft if strategy == BFS else frontier.pop
-    while frontier and cause is None:
+    pop = queue.popleft if strategy == BFS else queue.pop
+    while queue and cause is None:
         if (
             max_seconds is not None
             and time.perf_counter() - started > max_seconds
@@ -558,15 +544,10 @@ def search(
         node, depth = pop()
         if depth > depth_reached:
             depth_reached = depth
-        if handoff is not None and depth == len(levels):
-            # A BFS level edge: ``node`` plus the frontier is exactly
-            # level ``depth``, all of it admitted, none of it expanded.
-            levels.append(len(frontier) + 1)
-            if levels[-1] >= handoff and (
-                max_depth is None or depth < max_depth
-            ):
-                frontier.appendleft((node, depth))
-                break
+            if commit_level is not None:
+                # A BFS level edge: ``node`` plus the queue is exactly
+                # level ``depth``, all of it admitted, none expanded.
+                commit_level(depth, len(queue) + 1)
         if max_depth is not None and depth >= max_depth:
             depth_limited = True
             continue
@@ -580,19 +561,21 @@ def search(
         if not within:
             cause = TRUNCATED_BY_STATES
             break
-        peak_frontier = max(peak_frontier, len(frontier))
-    if cause is not None:
-        frontier.clear()
+        peak_frontier = max(peak_frontier, len(queue))
+    if commit_level is not None and cause is None and not depth_limited:
+        # Exhausted: one final empty level, so a resume of this journal
+        # finds nothing left to expand.
+        commit_level(depth_reached + 1, 0)
 
     elapsed = time.perf_counter() - started
     canon_cache_hits, canon_cache_misses = keys.cache_activity()
-    stats = ExplorationStats(
+    return ExplorationStats(
         strategy=strategy,
         states=len(visited),
         expansions=expansions,
         transitions=transitions,
         dedup_hits=dedup_hits,
-        depth_reached=depth_reached,
+        depth_reached=max(depth_reached, 0),
         depth_limited=depth_limited,
         peak_frontier=peak_frontier,
         elapsed_seconds=elapsed,
@@ -604,7 +587,6 @@ def search(
         canon_cache_misses=canon_cache_misses,
         profile=phases.profile(elapsed) if phases is not None else None,
     )
-    return stats, frontier, levels
 
 
 def explore(
@@ -614,7 +596,6 @@ def explore(
     max_depth: int | None = None,
     max_states: int | None = None,
     max_seconds: float | None = None,
-    workers: int = 1,
     on_visit: Callable[[Hashable, int], None] | None = None,
     profile: bool = False,
     store_dir: str | None = None,
@@ -623,20 +604,16 @@ def explore(
     """Explore ``space`` from its roots under the given strategy and bounds.
 
     ``on_visit(key, depth)`` is called exactly once per distinct state, in
-    visit order (roots first).  ``workers > 1`` requests the sharded
-    pipelined engine (BFS only; the space must implement
-    ``successors_of_key`` -- see :mod:`repro.explore.parallel`); it falls
-    back to in-process expansion when the platform cannot fork or an
-    ``on_visit`` callback needs serial in-order visits.  ``profile=True``
-    attaches a :class:`PhaseProfile` wall-clock breakdown (expand /
-    canonicalize / store / dedup) to the result's stats (in-process
-    exploration only).
+    visit order (roots first).  ``profile=True`` attaches a
+    :class:`PhaseProfile` wall-clock breakdown (expand / canonicalize /
+    store / dedup) to the result's stats.
 
-    ``store_dir`` backs the sharded engine with out-of-core spill and
-    crash-durable journals (and forces the sharded path even at
-    ``workers=1``); ``resume=True`` replays the directory's journals
-    first, so a killed exploration continues to the identical visited
-    set and :meth:`Exploration.content_digest`.
+    ``store_dir`` makes the exploration out-of-core and kill-safe (BFS
+    only): the same loop runs over a digest-only visited set whose states
+    go to an append-only journal in that directory, committed level by
+    level (:mod:`repro.explore.shard`); ``resume=True`` replays the
+    committed levels first, so a killed exploration continues to the
+    identical visited set and :meth:`Exploration.content_digest`.
 
     How a node becomes a dedup key is decided once, by
     :class:`NodeKeys`, from the hooks the space publishes: ``codec``
@@ -652,48 +629,40 @@ def explore(
         raise ValueError(f"unknown frontier strategy {strategy!r}")
     if resume and store_dir is None:
         raise ValueError("resume=True requires store_dir")
-    if workers > 1 or store_dir is not None:
-        from repro.explore.parallel import explore_parallel
+    started = time.perf_counter()
+    frontier = None
+    if store_dir is None:
+        from repro.explore.store import make_visited_store
+
+        codec = getattr(space, "codec", None)
+        keys = NodeKeys(space, codec)
+        visited = make_visited_store(codec)
+    else:
+        from repro.explore.shard import open_checkpoint
 
         if strategy != BFS:
-            raise ValueError("parallel expansion supports only BFS")
-        result = explore_parallel(
+            raise ValueError(
+                "checkpointed exploration commits BFS levels: "
+                "store_dir supports only BFS"
+            )
+        keys, visited, frontier = open_checkpoint(
+            space, store_dir, max_depth, resume
+        )
+    try:
+        stats = search(
             space,
-            workers=max(1, workers),
+            keys,
+            visited,
+            strategy=strategy,
             max_depth=max_depth,
             max_states=max_states,
             max_seconds=max_seconds,
+            started=started,
             on_visit=on_visit,
-            store_dir=store_dir,
-            resume=resume,
+            frontier=frontier,
+            phases=_PhaseClock() if profile else None,
         )
-        if result is not None:
-            return result
+    finally:
         if store_dir is not None:
-            # Durability was explicitly requested: never silently
-            # degrade to the journal-less in-process engine.
-            raise RuntimeError(
-                "checkpointed exploration is unsupported here (the "
-                "space lacks successors_of_key, the platform cannot "
-                "fork, or an on_visit callback was given)"
-            )
-        # fall through: platform cannot fork -- explore in-process
-
-    from repro.explore.store import make_visited_store
-
-    started = time.perf_counter()
-    codec = getattr(space, "codec", None)
-    visited = make_visited_store(codec)
-    stats, _frontier, _levels = search(
-        space,
-        NodeKeys(space, codec),
-        visited,
-        strategy=strategy,
-        max_depth=max_depth,
-        max_states=max_states,
-        max_seconds=max_seconds,
-        started=started,
-        on_visit=on_visit,
-        phases=_PhaseClock() if profile else None,
-    )
+            visited.close()
     return visited.into_exploration(stats)

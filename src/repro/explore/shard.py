@@ -1,54 +1,50 @@
-"""Durable shard journals and stores for sharded exploration.
+"""The out-of-core, kill-safe visited set of a checkpointed exploration.
 
-The sharded engine (:mod:`repro.explore.parallel`) hash-partitions the
-canonical state space across worker processes by wire digest
-(:func:`repro.explore.wire.shard_of`).  This module owns everything a
-shard keeps *outside* the worker's message loop:
+``explore(space, store_dir=...)`` runs the one frontier loop
+(:func:`repro.explore.engine.search`) over the two objects this module
+builds (:func:`open_checkpoint`): :class:`WireKeys`, which renders the
+space's dedup key as a self-contained wire blob plus its 128-bit digest,
+and :class:`ShardStore`, which keeps only the digests in RAM (~16
+B/state) and appends every state it admits to **one** journal in the run
+directory:
 
-* :class:`ShardLog` -- an append-only journal of framed records
-  (:func:`repro.explore.wire.pack_record`).  Each shard journals the
-  states it admits: an ``ADMIT`` record carries ``digest || canonical
-  blob`` with the state's global BFS rank in ``aux``, directly followed
-  by a ``MEMBER`` record holding the first-seen orbit member's blob
-  whenever symmetry rewriting made it differ from the canonical
-  representative (exploration *expands* the member -- the successor
-  function is not equivariant under pid renaming, so the canonical
-  representative may behave differently from any state the system
-  actually reaches).  After every shard has flushed a level's admits,
-  the coordinator appends a ``COMMIT`` record for that level to its own
-  journal.  Under ``kill -9`` the OS page cache survives the process,
-  so "durable" means "accepted by the kernel" -- there is deliberately
-  no fsync on the hot path (the model is process death, not power
-  loss).
+* ``ADMIT`` -- ``digest || canonical blob``, at the state's BFS depth,
+  with its admission rank in ``aux``;
+* ``MEMBER`` -- directly after its ``ADMIT``, the first-seen orbit
+  member's blob whenever symmetry rewriting made it differ from the
+  canonical representative (exploration *expands* the member -- the
+  successor function is not equivariant under pid renaming, so the
+  canonical representative may behave differently from any state the
+  system actually reaches);
+* ``COMMIT`` -- appended when the loop reports a BFS level edge: every
+  state of that level precedes it in the file.
 
-* :class:`ShardStore` -- one shard's visited set in RAM: the 16-byte
-  wire digests plus (only when the shard has no journal) the canonical
-  blob payloads.  With a journal, the ``ADMIT`` records *are* the blob
-  storage and the store is out-of-core -- nothing re-reads them during
-  the run.
+The file is append-only, so "a level's admits are durable before its
+commit" is just append order.  Under ``kill -9`` the OS page cache
+survives the process, so "durable" means "accepted by the kernel" --
+there is deliberately no fsync (the model is process death, not power
+loss).  Expansions are deterministic from the member blobs and never
+journalled: ``resume=True`` cuts the journal back to the end of its last
+``COMMIT`` (a torn tail, or the admits of a level a kill or a
+``max_states`` cut left partial, go), replays the committed levels into
+the digest set, and hands the last committed level back to the loop as
+its frontier, which re-derives everything after it bit for bit.
 
-* streaming replay -- :func:`last_committed_level` and
-  :func:`replay_admits`.  Expansions are deterministic from the
-  durable member blobs, so journals never record them: resume replays
-  the admits of every *committed* level (records above the last
-  committed level belong to a partially-admitted level and are
-  discarded -- the resumed run re-derives them bit-identically) and
-  simply re-expands the final committed level as its frontier.
-
-* :class:`WireVisitedView` -- the :class:`~repro.explore.engine.
-  Exploration`-facing visited set over collected canonical wire blobs
-  (in RAM) or over the journals themselves (spilled shards ship only
-  16-byte digests back to the coordinator), decoding states lazily
-  when a caller actually iterates ``visited``.
+:class:`ShardLog`, :func:`iter_log_records` and :func:`valid_prefix_len`
+are the journal machinery itself and have a second consumer, the durable
+campaign journal (:mod:`repro.campaign.journal`).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterator
+from dataclasses import replace
 from typing import Any
 
+from repro.explore.engine import Exploration, ExplorationStats, NodeKeys
+from repro.explore.spaces import StateSpace
 from repro.explore.wire import (
     DIGEST_SIZE,
     HEADER_SIZE,
@@ -62,14 +58,18 @@ from repro.explore.wire import (
     wire_digest,
 )
 
-#: ``meta.json`` format stamp for run directories.
-META_FORMAT = 2
+#: ``meta.json`` format stamp for run directories (3: one journal; a
+#: directory written by the sharded engine of formats <= 2 is refused).
+META_FORMAT = 3
 
-COORDINATOR_LOG = "coordinator.log"
+META_NAME = "meta.json"
+JOURNAL_NAME = "explore.log"
 
+#: Buffered journal bytes that force a write (see :class:`ShardLog`).
+_FLUSH_BYTES = 1 << 20
 
-def shard_log_name(shard: int) -> str:
-    return f"shard-{shard:04d}.log"
+#: Packed-key -> digest memo bound (see :class:`WireKeys`).
+_MEMO_MAX = 1 << 18
 
 
 # -- run directory metadata -----------------------------------------------
@@ -79,46 +79,62 @@ def prepare_run_dir(store_dir: str, signature: str) -> None:
     """Create ``store_dir`` (if needed) and pin its space signature.
 
     A run directory is only meaningful for one exploration *problem*
-    (space, symmetry, depth bound): replaying journals from a different
+    (space, symmetry, depth bound): replaying a journal from a different
     problem would silently merge unrelated state sets, so the signature
-    is written on first use and verified ever after.
+    is written on first use and verified ever after.  The meta file is
+    written through a temp file and ``os.replace``, so a kill leaves it
+    whole or absent; one that is unreadable anyway (or carries no format
+    stamp) is an empty directory unless a journal with records sits
+    beside it -- those records cannot be attributed to any exploration.
     """
     os.makedirs(store_dir, exist_ok=True)
-    meta_path = os.path.join(store_dir, "meta.json")
-    if os.path.exists(meta_path):
+    meta_path = os.path.join(store_dir, META_NAME)
+    meta = None
+    try:
         with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
-        if meta.get("format") != META_FORMAT:
+    except (FileNotFoundError, ValueError):
+        pass
+    if not isinstance(meta, dict) or "format" not in meta:
+        journal = os.path.join(store_dir, JOURNAL_NAME)
+        if os.path.exists(journal) and os.path.getsize(journal) > 0:
             raise ValueError(
-                f"{meta_path}: unsupported checkpoint format "
-                f"{meta.get('format')!r}"
+                f"{meta_path}: unreadable checkpoint metadata beside a "
+                f"non-empty journal; use a fresh --store-dir"
             )
-        if meta.get("signature") != signature:
-            raise ValueError(
-                f"{meta_path}: checkpoint belongs to a different "
-                f"exploration ({meta.get('signature')!r}, this run is "
-                f"{signature!r}); use a fresh --store-dir"
-            )
+        tmp_path = meta_path + ".tmp"
+        with open(tmp_path, "w", encoding="utf-8") as fh:
+            json.dump({"format": META_FORMAT, "signature": signature}, fh)
+            fh.write("\n")
+        os.replace(tmp_path, meta_path)
         return
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump({"format": META_FORMAT, "signature": signature}, fh)
-        fh.write("\n")
+    if meta["format"] != META_FORMAT:
+        raise ValueError(
+            f"{meta_path}: unsupported checkpoint format {meta['format']!r}"
+        )
+    if meta.get("signature") != signature:
+        raise ValueError(
+            f"{meta_path}: checkpoint belongs to a different "
+            f"exploration ({meta.get('signature')!r}, this run is "
+            f"{signature!r}); use a fresh --store-dir"
+        )
 
 
-def run_dir_logs(store_dir: str) -> list[str]:
-    """Every journal in a run directory (coordinator first, then shards
-    in name order -- a deterministic replay order)."""
-    names = sorted(
-        name
-        for name in os.listdir(store_dir)
-        if name.endswith(".log") and name != COORDINATOR_LOG
+def _space_signature(space: StateSpace, max_depth: int | None) -> str:
+    """A cheap fingerprint of the exploration *problem* -- pins a run
+    directory to one space configuration and depth bound."""
+    wire = WireCodec()
+    xor = 0
+    count = 0
+    for root in space.roots():
+        digest = wire_digest(wire.encode(space.key(root)))
+        xor ^= int.from_bytes(digest, "little")
+        count += 1
+    group = len(getattr(space, "symmetry_group", ()) or ())
+    return (
+        f"{type(space).__name__}|roots={count}:{xor:032x}"
+        f"|sym={group}|depth={max_depth}"
     )
-    paths = []
-    coord = os.path.join(store_dir, COORDINATOR_LOG)
-    if os.path.exists(coord):
-        paths.append(coord)
-    paths.extend(os.path.join(store_dir, name) for name in names)
-    return paths
 
 
 # -- the append-only journal ----------------------------------------------
@@ -127,11 +143,11 @@ def run_dir_logs(store_dir: str) -> list[str]:
 class ShardLog:
     """Append-only framed journal with buffered, unbuffered-on-flush IO.
 
-    ``append`` only extends an in-process buffer; :meth:`flush` hands
-    the buffer to ``os.write`` in one call.  Shards flush their level's
-    ``ADMIT`` records before acknowledging the level to the
-    coordinator, so a durable ``COMMIT`` implies every shard's admits
-    for that level are durable too.
+    ``append`` extends an in-process buffer; :meth:`flush` hands it to
+    ``os.write``.  A writer flushes where a reader may rely on what was
+    appended (a level's ``COMMIT``, a campaign result); in between the
+    buffer is handed over whenever it passes :data:`_FLUSH_BYTES`, so a
+    wide BFS level neither sits in RAM nor outgrows one ``write`` call.
     """
 
     __slots__ = ("path", "_fd", "_buf", "bytes_written")
@@ -146,6 +162,8 @@ class ShardLog:
 
     def append(self, tag: int, depth: int, aux: int, payload: bytes) -> None:
         self._buf += pack_record(tag, depth, aux, payload)
+        if len(self._buf) >= _FLUSH_BYTES:
+            self.flush()
 
     def flush(self) -> None:
         if self._buf:
@@ -164,10 +182,9 @@ def iter_log_records(
     """Stream ``(tag, depth, aux, payload)`` records from one journal.
 
     Constant memory in the journal size; a torn tail (header or payload
-    cut short by a crash) ends iteration silently -- the coordinator
-    never commits a level before its records are durable, so a
-    truncated record only ever belongs to an uncommitted level that
-    replay discards anyway.
+    cut short by a crash) ends iteration silently -- a commit is only
+    ever appended behind the records it covers, so a truncated record
+    belongs to an uncommitted level that replay discards anyway.
     """
     with open(path, "rb") as fh:
         buf = b""
@@ -193,8 +210,9 @@ def valid_prefix_len(path: str, chunk_size: int = 1 << 20) -> int:
     frames of exactly the records :func:`iter_log_records` yields.
 
     Appending a new run's records after a torn tail would misalign the
-    framing for every later replay, so the coordinator truncates each
-    journal to this length before any worker reopens it for append.
+    framing for every later replay, so a writer truncates the journal to
+    this length (the campaign journal) or to its committed prefix (the
+    exploration journal) before reopening it for append.
     """
     return sum(
         HEADER_SIZE + len(payload)
@@ -202,202 +220,255 @@ def valid_prefix_len(path: str, chunk_size: int = 1 << 20) -> int:
     )
 
 
-# -- streaming replay ------------------------------------------------------
+def committed_prefix_len(path: str) -> int:
+    """Byte length of a journal up to and including its last ``COMMIT``
+    (0: no level was ever committed) -- what a resume keeps."""
+    offset = committed = 0
+    for tag, _depth, _aux, payload in iter_log_records(path):
+        offset += HEADER_SIZE + len(payload)
+        if tag == REC_COMMIT:
+            committed = offset
+    return committed
 
 
-def last_committed_level(store_dir: str) -> int:
-    """The highest level the coordinator durably committed (-1: none).
+# -- dedup keys for the wire, and the journalled visited set --------------
 
-    Levels are committed in order, so every level up to this one is
-    fully admitted on every shard; admits above it belong to a level
-    that was mid-admission when the run died and are discarded by
-    :func:`replay_admits` (the resumed run re-derives them
-    bit-identically by re-expanding the committed frontier).
+
+class WireKeys(NodeKeys):
+    """:class:`~repro.explore.engine.NodeKeys` rendered for the journal.
+
+    ``of(node) -> ((canonical wire blob, digest, member), rewritten)``:
+    the space's dedup key in the self-contained encoding, with the
+    128-bit digest the store deduplicates by; ``member`` is ``node`` when
+    canonicalization rewrote its key -- the store journals
+    :attr:`member_blob` of it beside a fresh admit -- and ``None``
+    otherwise.
+
+    Where the space's keys pack (``codec``), a bounded memo maps the
+    packed dedup key to its digest, so duplicate successors -- the
+    majority of examined edges -- cost one dict hit instead of a wire
+    encode, and the blob of such a hit is ``None``: the loop admits every
+    key it examines (or stops at it), so a key seen before is already in
+    the store and only a first sighting needs its blob.
     """
-    path = os.path.join(store_dir, COORDINATOR_LOG)
-    if not os.path.exists(path):
-        return -1
-    level = -1
-    for tag, depth, _aux, _payload in iter_log_records(path):
-        if tag == REC_COMMIT and depth > level:
-            level = depth
-    return level
 
+    __slots__ = ("wire", "member_blob")
 
-def replay_admits(
-    paths: Iterable[str], max_level: int
-) -> Iterator[tuple[bytes, int, int, bytes, bytes | None]]:
-    """Stream every committed admit once, with its first-seen member.
+    def __init__(self, space: StateSpace):
+        super().__init__(space, getattr(space, "codec", None))
+        self.wire = wire = WireCodec()
+        dedup_key_of, decode, key = self.of, self.decode, space.key
+        memo: dict[bytes, bytes] = {}
 
-    Yields ``(digest, rank, depth, canonical_blob, member_blob)`` for
-    each distinct digest admitted at ``depth <= max_level`` --
-    ``member_blob`` is ``None`` when the first-seen member *is* the
-    canonical representative.  A digest can appear in several journals
-    (a partially-admitted level re-admitted by a resumed run carries
-    identical records); the first sighting wins, and later duplicates
-    are bit-identical by construction.
-    """
-    seen: set[bytes] = set()
-    for path in paths:
-        pending: tuple[bytes, int, int, bytes] | None = None
-        for tag, depth, aux, payload in iter_log_records(path):
-            if (
-                tag == REC_MEMBER
-                and pending is not None
-                and pending[2] == depth
-                and pending[1] == aux
-            ):
-                digest, rank, at, cblob = pending
-                pending = None
-                yield digest, rank, at, cblob, payload
-                continue
-            if pending is not None:
-                yield pending + (None,)
-                pending = None
-            if tag != REC_ADMIT or depth > max_level:
-                continue
-            digest = payload[:DIGEST_SIZE]
-            if digest in seen:
-                continue
-            seen.add(digest)
-            pending = (digest, aux, depth, payload[DIGEST_SIZE:])
-        if pending is not None:
-            yield pending + (None,)
+        def of_key(node: Any):
+            blob = wire.encode(dedup_key_of(node)[0])
+            return (blob, wire_digest(blob), None), False
 
+        def of_packed(node: Any):
+            packed, rewritten = dedup_key_of(node)
+            member = node if rewritten else None
+            digest = memo.get(packed)
+            if digest is not None:
+                return (None, digest, member), rewritten
+            if len(memo) >= _MEMO_MAX:
+                memo.clear()
+            blob = wire.encode(decode(packed) if rewritten else key(node))
+            digest = memo[packed] = wire_digest(blob)
+            return (blob, digest, member), rewritten
 
-# -- one shard's visited set ----------------------------------------------
+        self.of = of_packed if self.blobs else of_key
+        self.blobs = False  # a wire key is no interned blob: ``add`` it
+        self.decode = lambda wire_key: wire.decode(wire_key[0])
+        self.member_blob = lambda node: wire.encode(key(node))
 
 
 class ShardStore:
-    """One shard's visited set: digests in RAM, blobs durable or in RAM.
+    """A journalled visited set: digests in RAM, states on disk.
 
-    The worker loop drives all policy (winner selection, admission
-    order, journalling); this class only owns the index structures:
-    the 16-byte digest set (dedup and the XOR content-digest
-    accumulator) plus the canonical blob payloads, kept only when the
-    shard has no journal -- with one, ADMIT records hold them and RAM
-    keeps ~16 B/state.
+    The visited-store interface of :func:`repro.explore.engine.search`
+    (``add``, ``in``, ``len``, ``bytes_per_state``, ``commit_level``)
+    over :class:`WireKeys` keys.  ``add`` appends the fresh state's
+    ``ADMIT`` (and ``MEMBER``) record; nothing re-reads the journal
+    during the run, and RAM keeps the 16-byte digests (dedup, and the
+    XOR accumulator of the content digest).  A state admitted after
+    level ``L``'s commit is at depth ``L + 1`` -- the loop is a BFS.
     """
 
-    __slots__ = ("digests", "blobs", "payload_bytes", "xor")
+    __slots__ = (
+        "path",
+        "digests",
+        "payload_bytes",
+        "xor",
+        "committed",
+        "frontier",
+        "resumed_states",
+        "_member_blob",
+        "_log",
+    )
 
-    def __init__(self, keep_blobs: bool):
+    def __init__(
+        self, path: str, member_blob: Callable[[Any], bytes], resume: bool
+    ):
+        self.path = path
         self.digests: set[bytes] = set()
-        self.blobs: list[bytes] | None = [] if keep_blobs else None
         self.payload_bytes = 0
         self.xor = 0
+        #: the deepest committed level (-1: none)
+        self.committed = -1
+        #: member blobs of level :attr:`committed` as replayed, in rank
+        #: order: what a resumed loop expands first
+        self.frontier: list[bytes] = []
+        self._member_blob = member_blob
+        if resume and os.path.exists(path):
+            # Cut to a committed prefix before any append: a torn tail
+            # would misalign the framing, a partial level would be
+            # admitted twice.
+            os.truncate(path, committed_prefix_len(path))
+            self._replay()
+        #: states replayed from the journal
+        self.resumed_states = len(self.digests)
+        self._log = ShardLog(path)
+        if not resume:
+            os.truncate(path, 0)  # a fresh run restarts the directory
+
+    def _replay(self) -> None:
+        """Admit every journalled state; the journal ends at a commit."""
+        level: list[bytes] = []
+        for tag, depth, _rank, payload in iter_log_records(self.path):
+            if tag == REC_ADMIT and depth == self.committed + 1:
+                self._admit(payload[:DIGEST_SIZE], len(payload) - DIGEST_SIZE)
+                level.append(payload[DIGEST_SIZE:])
+            elif tag == REC_MEMBER and level:
+                level[-1] = payload
+            elif (
+                tag == REC_COMMIT
+                and depth == self.committed + 1
+                and int.from_bytes(payload, "little") == len(level)
+            ):
+                self.committed = depth
+                self.frontier, level = level, []
+            else:
+                raise ValueError(
+                    f"{self.path}: not an exploration journal (record "
+                    f"{chr(tag)!r} at depth {depth} after committed "
+                    f"level {self.committed})"
+                )
+
+    def _admit(self, digest: bytes, blob_len: int) -> None:
+        self.digests.add(digest)
+        self.payload_bytes += blob_len
+        self.xor ^= int.from_bytes(digest, "little")
 
     def __len__(self) -> int:
         return len(self.digests)
 
-    def __contains__(self, wire_key: tuple[bytes, bytes]) -> bool:
+    def __contains__(self, wire_key: tuple) -> bool:
         return wire_key[1] in self.digests
 
-    def admit(self, digest: bytes, blob: bytes) -> None:
-        self.digests.add(digest)
-        if self.blobs is not None:
-            self.blobs.append(blob)
-        self.payload_bytes += len(blob)
-        self.xor ^= int.from_bytes(digest, "little")
-
-    def add(self, wire_key: tuple[bytes, bytes]) -> tuple[int, bool]:
-        """Admit ``(canonical blob, digest)`` unless already present:
-        ``(rank, fresh)``.  With :meth:`__contains__`, ``len`` and
-        :attr:`bytes_per_state` this is the visited-store interface of
-        :func:`repro.explore.engine.search` (the warm start runs it over
-        this store, so ``blobs[rank]`` is the state admitted ``rank``-th).
-        """
-        blob, digest = wire_key
+    def add(self, wire_key: tuple) -> tuple[int, bool]:
+        """Admit ``(canonical blob, digest, member)`` unless already
+        present: ``(rank, fresh)``, the rank being the admission index."""
+        blob, digest, member = wire_key
         if digest in self.digests:
             return -1, False
-        self.admit(digest, blob)
-        return len(self.digests) - 1, True
+        rank = len(self.digests)
+        self._admit(digest, len(blob))
+        depth = self.committed + 1
+        self._log.append(REC_ADMIT, depth, rank, digest + blob)
+        if member is not None:
+            self._log.append(
+                REC_MEMBER, depth, rank, self._member_blob(member)
+            )
+        return rank, True
+
+    def commit_level(self, depth: int, size: int) -> None:
+        """Level ``depth`` is fully admitted (``size`` states): append
+        its ``COMMIT`` behind them and hand the lot to the kernel.  A
+        level a resume replayed as committed is not committed again."""
+        if depth > self.committed:
+            self.committed = depth
+            self._log.append(REC_COMMIT, depth, 0, size.to_bytes(8, "little"))
+            self._log.flush()
 
     @property
     def bytes_per_state(self) -> float:
-        """Mean wire payload bytes per admitted state."""
+        """Mean wire payload bytes per admitted state (the durable
+        encoding -- not the per-process interned packed form in-memory
+        runs report)."""
         if not self.digests:
             return 0.0
         return self.payload_bytes / len(self.digests)
 
-    def digests_blob(self) -> bytes:
-        """All admitted digests, concatenated (collection message for
-        spilled shards -- 16 bytes per state instead of the payload)."""
-        return b"".join(self.digests)
+    def close(self) -> None:
+        """Flush the uncommitted tail (a truncated run's partial level is
+        part of its result) and close the journal."""
+        self._log.close()
 
-
-# -- the Exploration-facing visited view ----------------------------------
+    def into_exploration(self, stats: ExplorationStats) -> Exploration:
+        """The finished (closed) run as an :class:`Exploration` over the
+        journal, its stats completed with the checkpoint counters."""
+        stats = replace(
+            stats,
+            reexpansions=min(stats.expansions, len(self.frontier)),
+            spill_bytes=self._log.bytes_written,
+            resumed_states=self.resumed_states,
+        )
+        return Exploration(store=WireVisitedView(self), stats=stats)
 
 
 class WireVisitedView:
-    """The merged visited set of a sharded run, as an Exploration store.
-
-    Holds the 16-byte digests of every visited state plus either the
-    canonical wire blobs themselves (in-RAM shards) or the journal
-    paths to stream them from (spilled shards).  Keys decode lazily to
-    the canonical representatives -- the same states a serial
-    symmetry-reduced exploration stores -- and membership re-encodes
-    the probe without materialising anything.
+    """The visited set of a finished journalled run, as an Exploration
+    store: the 16-byte digests plus the journal to stream the states
+    from.  Keys decode lazily to the canonical representatives -- the
+    same states an in-memory symmetry-reduced exploration stores -- and
+    membership re-encodes the probe without materialising anything.
     """
 
-    __slots__ = ("_digests", "_blobs", "_log_paths", "_payload_bytes", "_xor")
+    __slots__ = ("_store",)
 
-    def __init__(
-        self,
-        digests: set[bytes],
-        blobs: list[bytes] | None,
-        log_paths: list[str] | None,
-        payload_bytes: int,
-        xor: int,
-    ):
-        if (blobs is None) == (log_paths is None):
-            raise ValueError("pass exactly one of blobs= or log_paths=")
-        self._digests = digests
-        self._blobs = blobs
-        self._log_paths = log_paths
-        self._payload_bytes = payload_bytes
-        self._xor = xor
+    def __init__(self, store: ShardStore):
+        self._store = store
 
     def __len__(self) -> int:
-        return len(self._digests)
+        return len(self._store)
 
     def __contains__(self, key: Hashable) -> bool:
-        return wire_digest(WireCodec().encode(key)) in self._digests
+        return wire_digest(WireCodec().encode(key)) in self._store.digests
 
     def keys(self) -> Iterator[Hashable]:
-        codec = WireCodec()
-        if self._blobs is not None:
-            for blob in self._blobs:
-                yield codec.decode(blob)
-            return
-        # Spilled: stream the journals.  ADMIT payloads carry the
-        # canonical encoding after the digest; decode the first
-        # sighting of each visited digest and skip the rest.
-        remaining = set(self._digests)
-        for path in self._log_paths:
-            if not remaining:
-                return
-            for tag, _depth, _aux, payload in iter_log_records(path):
-                if tag != REC_ADMIT:
-                    continue
-                digest = payload[:DIGEST_SIZE]
-                if digest in remaining:
-                    remaining.discard(digest)
-                    yield codec.decode(payload[DIGEST_SIZE:])
-
-    @property
-    def bytes_per_state(self) -> float:
-        """Mean wire payload bytes per visited state (the durable
-        encoding -- not the per-process interned packed form serial
-        runs report)."""
-        if not self._digests:
-            return 0.0
-        return self._payload_bytes / len(self._digests)
+        """Decode every journalled state (each was admitted once)."""
+        decode = WireCodec().decode
+        for tag, _depth, _rank, payload in iter_log_records(self._store.path):
+            if tag == REC_ADMIT:
+                yield decode(payload[DIGEST_SIZE:])
 
     def content_digest(self) -> str:
-        return content_digest(self._xor, len(self._digests))
+        return content_digest(self._store.xor, len(self._store))
 
-    def into_exploration(self, stats: Any):
-        from repro.explore.engine import Exploration
 
-        return Exploration(store=self, stats=stats)
+def open_checkpoint(
+    space: StateSpace, store_dir: str, max_depth: int | None, resume: bool
+) -> tuple[WireKeys, ShardStore, Iterator[tuple[Any, int]] | None]:
+    """``(keys, visited, frontier)`` for :func:`~repro.explore.engine.
+    search` over the run directory ``store_dir``.
+
+    ``frontier`` is ``None`` for a run that starts at the roots (fresh,
+    or ``resume`` found no committed level); otherwise the last committed
+    level's first-seen members, rebuilt from their journalled keys
+    through the space's ``node_of_key`` hook (a space without one has
+    nodes that are their keys).
+    """
+    keys = WireKeys(space)
+    prepare_run_dir(store_dir, _space_signature(space, max_depth))
+    store = ShardStore(
+        os.path.join(store_dir, JOURNAL_NAME), keys.member_blob, resume
+    )
+    if store.committed < 0:
+        return keys, store, None
+    node_of = getattr(space, "node_of_key", None) or (lambda key: key)
+    decode = keys.wire.decode
+    return (
+        keys,
+        store,
+        ((node_of(decode(blob)), store.committed) for blob in store.frontier),
+    )

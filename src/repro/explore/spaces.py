@@ -22,8 +22,8 @@ hashable state identity used for deduplication.
 
 Optional hooks refine how the engine stores and deduplicates keys.  They
 are looked up in one place, once per space
-(:class:`repro.explore.engine.NodeKeys`), which the serial engine, the
-sharded engine's warm start and its shard workers all admit through:
+(:class:`repro.explore.engine.NodeKeys`), which every exploration
+admits through:
 
 * ``codec`` -- a :class:`~repro.explore.store.StateCodec` the engine
   uses to intern keys into packed blobs instead of keeping the full
@@ -42,10 +42,10 @@ sharded engine's warm start and its shard workers all admit through:
   the store has to re-derive it from the key (without ``packed_canon``,
   ``tokens_of`` is used only where ``codec`` can ``pack`` a stream into
   the interned store).
-* ``successors_of_key(key)`` -- marks a space whose keys can be expanded
-  in another process, which the sharded engine requires; a space whose
-  nodes are more than their keys adds ``node_of_key(key)``, and the
-  shard workers expand ``successors(node_of_key(key))`` instead.
+* ``node_of_key(key)`` -- a space whose nodes are more than their keys
+  rebuilds a node from a key, so a checkpoint resume
+  (:mod:`repro.explore.shard`) can re-seed the frontier from the
+  journalled members; without it the nodes are taken to be the keys.
 """
 
 from __future__ import annotations
@@ -381,7 +381,8 @@ class GlobalSimulatorSpace:
 
     def node_of_key(self, state: "GlobalState") -> _GlobalNode:
         """A node positioned at ``state``, expandable with
-        :meth:`successors` (shard workers expand decoded members).
+        :meth:`successors` (a checkpoint resume expands journalled
+        members).
         ``encode_tokens`` rejects a partitioned snapshot."""
         return _GlobalNode(state, self.codec.encode_tokens(state))
 
@@ -514,6 +515,3 @@ class LocalProcessSpace:
 
     def key(self, node: tuple) -> Hashable:
         return node
-
-    def successors_of_key(self, node: tuple) -> list[tuple]:
-        return list(self.successors(node))

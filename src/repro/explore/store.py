@@ -86,7 +86,7 @@ def order_key(value: Any) -> tuple:
     ``None < False < True < ints < strs < timestamps < tuples <
     frozensets < everything else``.  It must not depend on any per-run
     state (interning order, object ids, hash seeds) so canonical orbit
-    representatives agree across runs and across pool workers; the
+    representatives agree across runs and across processes; the
     fallback therefore masks memory addresses out of ``repr`` (two
     distinct same-type objects whose reprs are both address-based
     compare equal, which keeps the order total and run-stable at the
@@ -379,9 +379,8 @@ class InternedStateStore:
         return self._payload_bytes / len(self._ids)
 
     def add_packed(self, blob: bytes) -> tuple[int, bool]:
-        """Intern an already-packed blob (pool workers pack remotely is
-        *not* supported -- interner ids are per-process -- but the parent
-        re-packing a decoded key round-trips through here)."""
+        """Intern an already-packed blob (one packed by this store's own
+        codec: interner ids are per-process)."""
         ident = self._ids.get(blob)
         if ident is not None:
             return ident, False

@@ -1,22 +1,18 @@
-"""Cross-process wire encoding for exploration dedup keys.
+"""Self-contained wire encoding for exploration dedup keys.
 
 The interned blobs of :mod:`repro.explore.store` are the *fastest*
 representation of a state -- but their tokens index per-process interner
-tables, so a blob produced in one worker is meaningless in another and
-unusable on disk.  The sharded exploration engine
-(:mod:`repro.explore.parallel`) needs the opposite trade-off in three
-places:
+tables, so a blob means nothing to another process or another run and is
+unusable on disk.  Two things need the opposite trade-off:
 
-* **routing** -- a successor is owned by shard ``hash(state) % N``, and
-  every process (and every *run*, for checkpoint resume) must compute
-  the same hash for the same state;
-* **transport** -- successor proposals (canonical blob, and the
-  first-seen member blob when renaming changed it) cross
-  worker-to-worker queues;
-* **durability** -- admitted states (canonical blob plus, when it
-  differs, the first-seen member blob that exploration actually
-  expands) are journalled to append-only shard logs a later run
-  replays.
+* **durability** -- a checkpointed exploration
+  (:mod:`repro.explore.shard`) journals every admitted state (canonical
+  blob plus, when it differs, the first-seen member blob that
+  exploration actually expands) to an append-only log a later run
+  replays, deduplicating by digest across runs;
+* **the content digest** -- :meth:`repro.explore.engine.Exploration.
+  content_digest` must come out the same for the same visited set in any
+  process on any run, however the set was stored.
 
 :class:`WireCodec` therefore packs a dedup key into a *self-contained*,
 deterministic byte string: strings are inlined, frozensets are written
@@ -24,9 +20,8 @@ in :func:`~repro.explore.store.order_key` order (frozenset iteration
 order varies with hash randomization), and the branch tags are the
 codec's own tag table, so two equal keys encode identically in any
 process on any run.  :func:`wire_digest` is the 128-bit BLAKE2b digest
-of that encoding -- the shard router, the dedup index key, and the
-per-state contribution to a run's order-independent content digest are
-all derived from it.
+of that encoding -- the journalled store's dedup index key and the
+per-state contribution to a run's order-independent content digest.
 
 The module also owns the journal record framing used by
 :mod:`repro.explore.shard`: fixed 13-byte headers followed by the wire
@@ -73,7 +68,7 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 #: Bytes of a :func:`wire_digest` (128-bit: collisions are negligible at
 #: any reachable state count, so digests stand in for full blobs in the
-#: in-RAM dedup index of a disk-backed shard store).
+#: in-RAM dedup index of the journalled store).
 DIGEST_SIZE = 16
 
 
@@ -131,12 +126,13 @@ class WireCodec:
             out += _U32.pack(len(raw))
             out += raw
         elif isinstance(value, GlobalState):
-            # Deliberately unmemoized: snapshots are almost all distinct
-            # and each is encoded once, while their *subtrees* repeat
-            # heavily and hit the memo below.
+            # Deliberately unmemoized, and so are its two top-level
+            # tuples: snapshots are almost all distinct and each is
+            # encoded once (a memo of them grows with the visited set),
+            # while their *entries* repeat heavily and hit the memo below.
             out.append(TAG_GSTATE)
-            self._write(value.processes, out)
-            self._write(value.channels, out)
+            self._write_tuple(value.processes, out)
+            self._write_tuple(value.channels, out)
             self._write(value.down, out)
         else:
             enc = self._memo.get(value)
@@ -144,6 +140,12 @@ class WireCodec:
                 enc = self._composite(value)
                 self._memo[value] = enc
             out += enc
+
+    def _write_tuple(self, items: tuple, out: bytearray) -> None:
+        out.append(TAG_TUPLE)
+        out += _U32.pack(len(items))
+        for item in items:
+            self._write(item, out)
 
     def _composite(self, value: Any) -> bytes:
         out = bytearray()
@@ -154,10 +156,7 @@ class WireCodec:
             out += _U32.pack(len(raw))
             out += raw
         elif isinstance(value, tuple):
-            out.append(TAG_TUPLE)
-            out += _U32.pack(len(value))
-            for item in value:
-                self._write(item, out)
+            self._write_tuple(value, out)
         elif isinstance(value, frozenset):
             # order_key order, so equal sets encode identically under
             # any hash seed (frozenset iteration order is randomized).
@@ -249,20 +248,15 @@ class WireCodec:
 
 
 def wire_digest(blob: bytes) -> bytes:
-    """The 128-bit identity of a wire blob (routing, dedup, digests)."""
+    """The 128-bit identity of a wire blob (dedup, content digests)."""
     return blake2b(blob, digest_size=DIGEST_SIZE).digest()
-
-
-def shard_of(digest: bytes, shards: int) -> int:
-    """The shard that owns a state, stable across processes and runs."""
-    return int.from_bytes(digest[:8], "little") % shards
 
 
 def content_digest(xor: int, count: int) -> str:
     """A run's visited-set content digest, as a hex string.
 
     ``xor`` is the XOR of :func:`wire_digest` over the *distinct*
-    visited states -- order-independent, so serial, sharded, and
+    visited states -- order-independent, so in-memory, journalled and
     resumed explorations of the same space agree bit-for-bit -- and
     ``count`` pins the cardinality.
     """
@@ -280,8 +274,8 @@ REC_ADMIT = ord("A")  #: payload ``digest || canonical blob``, aux = rank
 REC_MEMBER = ord("M")  #: payload = first-seen member blob (when it
 #: differs from the canonical representative), same depth/aux as the
 #: ADMIT record it directly follows in the log
-REC_COMMIT = ord("C")  #: coordinator mark: level ``depth`` fully
-#: admitted and durable on every shard (payload = admitted count, u64)
+REC_COMMIT = ord("C")  #: level ``depth`` fully admitted, every one of
+#: its records ahead of this one (payload = admitted count, u64)
 
 _HEADER = struct.Struct("<BiiI")  # tag, depth, aux, payload length
 HEADER_SIZE = _HEADER.size

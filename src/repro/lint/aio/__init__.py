@@ -3,7 +3,7 @@
 PR 4's ``repro.lint`` proves the paper's action contracts for the DSL
 layer by abstract interpretation of live action objects.  The layers the
 production story now rests on -- the live asyncio lock service, the
-forked campaign runner, the sharded explorer, the recovery ladder -- are
+forked campaign runner, the journalled explorer, the recovery ladder -- are
 ordinary module code with three extra failure axes the DSL never had:
 event-loop concurrency, blocking syscalls, and fork inheritance.  This
 subpackage lints whole packages *without importing their closures*, via

@@ -1,6 +1,6 @@
 """Fork/worker hygiene for the process-parallel layers.
 
-``campaign.runner`` and ``explore.parallel`` fan out with
+``campaign.sched`` and ``campaign.runner`` fan out with
 ``multiprocessing.get_context("fork")``.  Fork inherits the parent's
 entire address space, so two classes of bugs stay invisible until a
 worker wedges in production:

@@ -3,7 +3,7 @@
 PR 4's ``repro.lint`` analyzes *live* action objects (closures included)
 because the DSL builds programs from captured configuration.  The layers
 this pass guards -- the asyncio service, the forked campaign runner, the
-sharded explorer -- are ordinary module code, so here we model whole
+journalled explorer -- are ordinary module code, so here we model whole
 files without importing them: every function's ordered stream of field
 accesses, await points, calls, and task-spawn sites, plus per-class and
 per-module symbol tables with import-alias resolution.

@@ -41,10 +41,6 @@ class TestStrategies:
         with pytest.raises(ValueError, match="strategy"):
             explore(TransitionSystemSpace(diamond()), strategy="random")
 
-    def test_parallel_requires_bfs(self):
-        with pytest.raises(ValueError, match="BFS"):
-            explore(TransitionSystemSpace(diamond()), strategy=DFS, workers=2)
-
 
 class TestBounds:
     def test_depth_bound_is_not_truncation(self):
@@ -95,7 +91,6 @@ class TestInstrumentation:
         assert stats.depth_reached == 2
         assert stats.peak_frontier >= 2
         assert stats.elapsed_seconds >= 0.0
-        assert stats.workers == 1
 
     def test_states_per_second_zero_guard(self):
         stats = explore(TransitionSystemSpace(diamond())).stats

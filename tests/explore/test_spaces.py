@@ -301,10 +301,3 @@ class TestLocalProcessSpace:
         assert loose.states >= tight.states
         for node in loose.visited:
             assert dict(node).get("lc", 0) <= 4
-
-    def test_successors_of_key_matches_successors(self):
-        space = self.space()
-        (root,) = list(space.roots())
-        assert set(space.successors_of_key(root)) == set(
-            space.successors(root)
-        )

@@ -18,7 +18,6 @@ from repro.explore.wire import (
     WireCodec,
     content_digest,
     pack_record,
-    shard_of,
     wire_digest,
 )
 from repro.tme import ClientConfig, tme_programs
@@ -97,13 +96,6 @@ class TestDigests:
         digests = {wire_digest(b) for b in blobs}
         assert len(digests) == len(set(blobs))
         assert all(len(d) == DIGEST_SIZE for d in digests)
-
-    def test_shard_of_is_stable_and_in_range(self):
-        digest = wire_digest(b"state")
-        for shards in (1, 2, 3, 7):
-            owner = shard_of(digest, shards)
-            assert 0 <= owner < shards
-            assert owner == shard_of(digest, shards)
 
     def test_content_digest_is_order_independent(self):
         digests = [wire_digest(bytes([i])) for i in range(5)]

@@ -124,6 +124,32 @@ class TestExploreCommand:
         stats = json.loads(out_path.read_text())["stats"]
         assert "local_evaluations" not in stats
 
+    def test_checkpointed_run_reports_the_serial_line(self, capsys, tmp_path):
+        argv = ["explore", "--n", "3", "--max-depth", "6"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--store-dir", str(tmp_path / "run")]) == 0
+        durable = capsys.readouterr().out.splitlines()
+        # states + local evaluations, then the content digest
+        assert durable[:2] == serial[:2]
+        assert main([*argv, "--checkpoint", str(tmp_path / "run"), "--resume"]) == 0
+        resumed = capsys.readouterr().out.splitlines()
+        assert resumed[1] == serial[1]
+        assert "resumed" in resumed[2]
+
+    def test_checkpoint_usage_errors(self, capsys, tmp_path):
+        assert main(["explore", "--resume"]) == 2
+        assert "--resume needs --store-dir" in capsys.readouterr().out
+        argv = ["explore", "--n", "2", "--local", "p0", "--store-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "global space only" in capsys.readouterr().out
+
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestCampaignCommand:
     FAST = [

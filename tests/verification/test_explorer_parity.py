@@ -155,15 +155,6 @@ class TestGlobalParity:
     def test_truncation_parity(self):
         self.check(2, 8, max_states=50)
 
-    def test_parallel_workers_visit_same_states(self):
-        programs = small_programs(2)
-        serial = explore(GlobalSimulatorSpace(programs), max_depth=6)
-        parallel = explore(
-            GlobalSimulatorSpace(programs), max_depth=6, workers=2
-        )
-        assert parallel.states == serial.states
-        assert parallel.stats.truncated == serial.stats.truncated
-
 
 class TestLocalParity:
     def check(self, n, max_depth=6, max_clock=2, max_states=200_000):
