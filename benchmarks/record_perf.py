@@ -66,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "PARENT_CHECKOUT"))
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    from repro.campaign.stats import stamp_artifact
+    from repro.durable import stamp_artifact
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     record = {"label": args.label, "recorded_at": stamp, **all_workloads()}
     if args.claim is not None:

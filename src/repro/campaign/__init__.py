@@ -93,9 +93,7 @@ from repro.campaign.stats import (
     ecdf,
     matrix_artifact,
     quantile,
-    stamp_artifact,
     summarize,
-    verify_stamp,
     write_artifact,
 )
 from repro.campaign.trial import (
@@ -104,6 +102,7 @@ from repro.campaign.trial import (
     replay_trial,
     run_trial,
 )
+from repro.durable import stamp_artifact, verify_stamp
 
 __all__ = [
     "CampaignJournal",

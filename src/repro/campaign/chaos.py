@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
 
-from repro.campaign.journal import META_NAME
 from repro.campaign.seeds import derive_seed
 from repro.campaign.sched import (
     ChaosFn,
@@ -40,6 +39,7 @@ from repro.campaign.sched import (
     run_matrix,
 )
 from repro.campaign.spec import TrialMatrix
+from repro.durable import META_NAME
 
 
 def make_chaos_fn(

@@ -2,12 +2,13 @@
 
 Campaigns used to exist only in the coordinator's memory -- a crash at
 trial 999,990 of a million lost everything.  This module gives a
-campaign the same durability story PR 7 gave exploration, *reusing the
-exact journal machinery*: records are framed with
-:func:`repro.explore.wire.pack_record` (13-byte header + payload, torn
-tails discarded on replay) and appended through
-:class:`repro.explore.shard.ShardLog` (buffered, flushed to the kernel
-before anything downstream observes the event).
+campaign the durability story a checkpointed exploration has, on the
+same machinery: records travel in :mod:`repro.durable`'s checksummed
+frame through its :class:`~repro.durable.AppendLog` (buffered, flushed
+to the kernel before anything downstream observes the event), and replay
+reads the journal's valid prefix -- a torn or bit-flipped frame ends it,
+and the trials behind the cut simply run again, to bit-identical
+results.
 
 One journal per campaign, one writer (the coordinator -- workers only
 ever talk over pipes), three record kinds:
@@ -26,43 +27,55 @@ ever talk over pipes), three record kinds:
   attempt counter so a coordinator crash cannot reset a trial's retry
   budget, and the requeue history survives into the final attempt log.
 
-``meta.json`` pins the campaign's identity: a *stamped* artifact
-(:func:`repro.campaign.stats.stamp_artifact`) carrying the matrix
-digest of :class:`~repro.campaign.spec.TrialMatrix`.  ``--resume``
-verifies the stamp and the digest before trusting a single record, so
-a journal can never silently replay into a different experiment.
+``meta.json`` pins the campaign's identity: :func:`repro.durable.
+write_meta`'s stamped payload carrying the matrix digest of
+:class:`~repro.campaign.spec.TrialMatrix`.  ``--resume`` verifies the
+stamp and the digest before trusting a single record, so a journal can
+never silently replay into a different experiment.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from repro.campaign.spec import TrialMatrix, canonical_json
-from repro.campaign.stats import stamp_artifact, verify_stamp
+from repro.campaign.spec import TrialMatrix
 from repro.campaign.trial import TrialResult
-from repro.explore.shard import ShardLog, iter_log_records, valid_prefix_len
+from repro.durable import (
+    AppendLog,
+    canonical_json,
+    iter_records,
+    prefix_len,
+    verify_meta,
+    write_json,
+    write_meta,
+)
 
 #: Campaign record kinds, disjoint from the exploration journal's
-#: ``REC_ADMIT``/``REC_MEMBER``/``REC_COMMIT`` tag values (the framing
-#: is shared; see :mod:`repro.explore.wire`).
+#: ``A``/``M``/``C`` (:mod:`repro.explore.wire`): the frame is shared,
+#: and a journal misfiled into the wrong reader must fail loudly.
 REC_LEASE = ord("L")
 REC_RESULT = ord("R")
 REC_REQUEUE = ord("Q")
 
-#: ``meta.json`` schema (stamped; bumped on incompatible layout change).
-META_SCHEMA_VERSION = 1
+#: ``meta.json`` schema (stamped; 2: checksummed frames -- a directory
+#: of any other version is refused).
+META_SCHEMA_VERSION = 2
 
 JOURNAL_NAME = "campaign.log"
-META_NAME = "meta.json"
 PARTIAL_NAME = "partial.json"
 
 
 # ---------------------------------------------------------------------------
 # TrialResult <-> canonical JSON payloads
 # ---------------------------------------------------------------------------
+
+#: Every :class:`TrialResult` field but the decision log.
+_RESULT_FIELDS = tuple(
+    f.name for f in fields(TrialResult) if f.name != "decisions"
+)
+
 
 def encode_result(result: TrialResult) -> bytes:
     """The canonical JSON bytes of a result (decisions dropped).
@@ -73,57 +86,17 @@ def encode_result(result: TrialResult) -> bytes:
     and the artifact consume round-trips exactly, floats included
     (JSON's shortest-repr float encoding is lossless).
     """
-    payload = {
-        "trial_id": result.trial_id,
-        "outcome": result.outcome,
-        "steps": result.steps,
-        "latency": result.latency,
-        "wall_seconds": result.wall_seconds,
-        "wall_latency": result.wall_latency,
-        "entries": result.entries,
-        "faults": result.faults,
-        "me1_after_horizon": result.me1_after_horizon,
-        "digest": result.digest,
-        "detail": result.detail,
-        "availability": result.availability,
-        "dropped": result.dropped,
-        "corrupted": result.corrupted,
-        "detections": list(result.detections),
-        "recoveries": list(result.recoveries),
-        "recovery_stages": [list(s) for s in result.recovery_stages],
-        "sched_fallbacks": result.sched_fallbacks,
-        "ops_skipped": result.ops_skipped,
-    }
+    payload = {name: getattr(result, name) for name in _RESULT_FIELDS}
     return canonical_json(payload).encode("utf-8")
 
 
 def decode_result(raw: bytes) -> TrialResult:
     """The :class:`TrialResult` a ``RESULT`` payload encodes."""
     payload = json.loads(raw.decode("utf-8"))
-    return TrialResult(
-        trial_id=payload["trial_id"],
-        outcome=payload["outcome"],
-        steps=payload["steps"],
-        latency=payload["latency"],
-        wall_seconds=payload["wall_seconds"],
-        wall_latency=payload["wall_latency"],
-        entries=payload["entries"],
-        faults=payload["faults"],
-        me1_after_horizon=payload["me1_after_horizon"],
-        digest=payload["digest"],
-        detail=payload["detail"],
-        decisions=None,
-        availability=payload["availability"],
-        dropped=payload["dropped"],
-        corrupted=payload["corrupted"],
-        detections=tuple(payload["detections"]),
-        recoveries=tuple(payload["recoveries"]),
-        recovery_stages=tuple(
-            (stage, count) for stage, count in payload["recovery_stages"]
-        ),
-        sched_fallbacks=payload["sched_fallbacks"],
-        ops_skipped=payload["ops_skipped"],
-    )
+    for name in ("detections", "recoveries"):
+        payload[name] = tuple(payload[name])
+    payload["recovery_stages"] = tuple(map(tuple, payload["recovery_stages"]))
+    return TrialResult(**payload)
 
 
 # ---------------------------------------------------------------------------
@@ -131,33 +104,26 @@ def decode_result(raw: bytes) -> TrialResult:
 # ---------------------------------------------------------------------------
 
 
-class CampaignJournal:
+class CampaignJournal(AppendLog):
     """Append-only campaign journal (single writer: the coordinator).
 
-    Reopening after a crash truncates the file to its longest
-    whole-record prefix first (:func:`repro.explore.shard.
-    valid_prefix_len`) -- appending after a torn tail would misalign
-    the framing for every later replay.
+    Reopening after a crash cuts the file back to its valid prefix
+    first (:func:`repro.durable.prefix_len`) -- records appended behind
+    a torn or corrupt frame would be invisible to every later replay;
+    :attr:`kept` and :attr:`discarded` say what that cost.
     """
 
     def __init__(self, store_dir: str | Path):
-        self.path = str(Path(store_dir) / JOURNAL_NAME)
-        if os.path.exists(self.path):
-            good = valid_prefix_len(self.path)
-            if good < os.path.getsize(self.path):
-                with open(self.path, "rb+") as fh:
-                    fh.truncate(good)
-        self._log = ShardLog(self.path)
+        path = str(Path(store_dir) / JOURNAL_NAME)
+        super().__init__(path, prefix_len(path))
 
     def lease(self, task_id: int, attempt: int, worker: int) -> None:
-        self._log.append(
-            REC_LEASE, task_id, attempt, str(worker).encode()
-        )
-        self._log.flush()
+        self.append(REC_LEASE, task_id, attempt, str(worker).encode())
+        self.flush()
 
     def result(self, task_id: int, attempt: int, result: TrialResult) -> None:
-        self._log.append(REC_RESULT, task_id, attempt, encode_result(result))
-        self._log.flush()
+        self.append(REC_RESULT, task_id, attempt, encode_result(result))
+        self.flush()
 
     def requeue(
         self, task_id: int, attempt: int, kind: str,
@@ -166,11 +132,8 @@ class CampaignJournal:
         payload = canonical_json(
             {"kind": kind, "exitcode": exitcode, "backoff": backoff}
         ).encode("utf-8")
-        self._log.append(REC_REQUEUE, task_id, attempt, payload)
-        self._log.flush()
-
-    def close(self) -> None:
-        self._log.close()
+        self.append(REC_REQUEUE, task_id, attempt, payload)
+        self.flush()
 
 
 @dataclass
@@ -194,15 +157,15 @@ class JournalState:
 def replay_journal(store_dir: str | Path) -> JournalState:
     """Replay a campaign journal into a :class:`JournalState`.
 
-    Torn tails end the scan silently (:func:`iter_log_records`): a
-    record cut short by ``kill -9`` was never acknowledged, so dropping
-    it is exactly the crash semantics resume wants.
+    The scan covers the valid prefix: a record cut short by ``kill -9``
+    was never acknowledged and one that fails its checksum is re-derived
+    by running its trial again, so dropping both is exactly the crash
+    semantics resume wants.  A whole record of a foreign tag is another
+    reader's journal and raises.
     """
     state = JournalState()
     path = Path(store_dir) / JOURNAL_NAME
-    if not path.exists():
-        return state
-    for tag, task_id, attempt, payload in iter_log_records(str(path)):
+    for tag, task_id, attempt, payload in iter_records(path):
         state.records += 1
         if tag == REC_RESULT:
             if task_id not in state.results:
@@ -215,6 +178,11 @@ def replay_journal(store_dir: str | Path) -> JournalState:
             info = json.loads(payload.decode("utf-8"))
             info["attempt"] = attempt
             state.attempt_log.setdefault(task_id, []).append(info)
+        else:
+            raise ValueError(
+                f"{path}: not a campaign journal (record {chr(tag)!r} "
+                f"for task {task_id})"
+            )
     return state
 
 
@@ -223,23 +191,18 @@ def replay_journal(store_dir: str | Path) -> JournalState:
 # ---------------------------------------------------------------------------
 
 
+def _identity(matrix: TrialMatrix) -> dict:
+    return {
+        "kind": "campaign-journal",
+        "name": matrix.name,
+        "matrix_digest": matrix.matrix_digest,
+        "tasks": len(matrix),
+    }
+
+
 def write_campaign_meta(store_dir: str | Path, matrix: TrialMatrix) -> dict:
     """Create ``store_dir`` and pin the campaign's identity in it."""
-    store = Path(store_dir)
-    store.mkdir(parents=True, exist_ok=True)
-    payload = stamp_artifact(
-        {
-            "kind": "campaign-journal",
-            "name": matrix.name,
-            "matrix_digest": matrix.matrix_digest,
-            "tasks": len(matrix),
-        },
-        META_SCHEMA_VERSION,
-    )
-    tmp = store / (META_NAME + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, store / META_NAME)
-    return payload
+    return write_meta(store_dir, META_SCHEMA_VERSION, _identity(matrix))
 
 
 def verify_campaign_meta(store_dir: str | Path, matrix: TrialMatrix) -> dict:
@@ -249,22 +212,7 @@ def verify_campaign_meta(store_dir: str | Path, matrix: TrialMatrix) -> dict:
     (truncated or hand-edited file), or the matrix digest differs (the
     journal belongs to a different experiment).
     """
-    path = Path(store_dir) / META_NAME
-    if not path.exists():
-        raise ValueError(
-            f"{path}: no campaign metadata; nothing to resume here"
-        )
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    verify_stamp(payload, META_SCHEMA_VERSION)
-    if payload.get("kind") != "campaign-journal":
-        raise ValueError(f"{path}: not a campaign journal directory")
-    found = payload.get("matrix_digest")
-    if found != matrix.matrix_digest:
-        raise ValueError(
-            f"{path}: journal belongs to a different experiment "
-            f"({found} != {matrix.matrix_digest}); use a fresh store dir"
-        )
-    return payload
+    return verify_meta(store_dir, META_SCHEMA_VERSION, _identity(matrix))
 
 
 def journal_exists(store_dir: str | Path) -> bool:
@@ -272,9 +220,6 @@ def journal_exists(store_dir: str | Path) -> bool:
 
 
 def write_partial_artifact(store_dir: str | Path, payload: dict) -> None:
-    """Atomically publish a streamed partial artifact (temp + rename),
-    so a reader never observes a half-written JSON file."""
-    store = Path(store_dir)
-    tmp = store / (PARTIAL_NAME + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, store / PARTIAL_NAME)
+    """Atomically publish a streamed partial artifact, so a reader never
+    observes a half-written JSON file."""
+    write_json(Path(store_dir) / PARTIAL_NAME, payload)

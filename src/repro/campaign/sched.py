@@ -51,7 +51,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from multiprocessing.connection import wait as connection_wait
 
 from repro.campaign.journal import (
@@ -118,19 +118,12 @@ class SchedStats:
     resumed_results: int = 0
     serial_fallback_tasks: int = 0
     partials_written: int = 0
+    #: bytes of the journal found at opening: its valid prefix, the rest
+    journal_kept_bytes: int = 0
+    journal_discarded_bytes: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "requeues": self.requeues,
-            "lease_reclaims": self.lease_reclaims,
-            "worker_deaths": self.worker_deaths,
-            "respawns": self.respawns,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "resumed_results": self.resumed_results,
-            "serial_fallback_tasks": self.serial_fallback_tasks,
-            "partials_written": self.partials_written,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -328,6 +321,8 @@ class _Coordinator:
                     )
                 write_campaign_meta(store_dir, matrix)
             self.journal = CampaignJournal(store_dir)
+            self.stats.journal_kept_bytes = self.journal.kept
+            self.stats.journal_discarded_bytes = self.journal.discarded
 
         self.pending = deque(
             task.task_id

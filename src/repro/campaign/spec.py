@@ -36,6 +36,7 @@ from pathlib import Path
 from repro.campaign.faults import ChurnRates, FaultRates
 from repro.campaign.seeds import derive_seed
 from repro.campaign.trial import CampaignSpec
+from repro.durable import canonical_json
 from repro.recovery import RecoveryConfig
 
 #: Parameter names :func:`build_campaign_spec` understands.  Anything
@@ -64,11 +65,6 @@ SPEC_PARAMS = frozenset(
         "trials",
     }
 )
-
-
-def canonical_json(payload: object) -> str:
-    """The one JSON encoding of ``payload`` every process agrees on."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def build_campaign_spec(params: Mapping[str, object]) -> CampaignSpec:
@@ -161,7 +157,7 @@ class TrialMatrix:
         payload = {
             "name": self.name,
             "configs": {
-                name: _spec_dict(spec) for name, spec in self.configs
+                name: asdict(spec) for name, spec in self.configs
             },
             "trials": dict(self.trials),
         }
@@ -176,12 +172,6 @@ class TrialMatrix:
             f"{self.name}: {len(self.tasks)} trials over "
             f"{len(self.configs)} config(s) ({', '.join(parts)})"
         )
-
-
-def _spec_dict(spec: CampaignSpec) -> dict:
-    """A JSON-ready dict of a :class:`CampaignSpec` (nested dataclasses
-    flattened by :func:`dataclasses.asdict`)."""
-    return asdict(spec)
 
 
 @dataclass(frozen=True)

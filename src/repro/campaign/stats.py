@@ -11,13 +11,12 @@ with digests.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.campaign.trial import CampaignSpec, TrialResult
+from repro.durable import stamp_artifact, write_json
 
 
 def summarize_outcomes(results: Sequence[TrialResult]) -> dict[str, int]:
@@ -209,7 +208,7 @@ CAMPAIGN_SCHEMA_VERSION = 2
 CAMPAIGN_VOLATILE_FIELDS = ("timing", "execution")
 
 
-def _latency_dict(latency: LatencySummary | None) -> dict | None:
+def latency_dict(latency: LatencySummary | None) -> dict | None:
     if latency is None:
         return None
     return {
@@ -228,12 +227,12 @@ def summary_dict(summary: CampaignSummary) -> dict:
         "trials": summary.trials,
         "outcomes": summary.outcomes,
         "convergence_rate": summary.convergence_rate,
-        "latency": _latency_dict(summary.latency),
+        "latency": latency_dict(summary.latency),
         "mean_steps": summary.mean_steps,
         "total_faults": summary.total_faults,
         "availability_mean": summary.availability_mean,
-        "detection": _latency_dict(summary.detection),
-        "recovery": _latency_dict(summary.recovery),
+        "detection": latency_dict(summary.detection),
+        "recovery": latency_dict(summary.recovery),
         "total_dropped": summary.total_dropped,
         "total_corrupted": summary.total_corrupted,
     }
@@ -361,8 +360,8 @@ def matrix_artifact(
 
 
 def write_artifact(path: str | Path, payload: dict) -> None:
-    """Write a campaign artifact as pretty-printed JSON."""
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    """Write a campaign artifact as pretty-printed JSON (atomically)."""
+    write_json(path, payload)
 
 
 #: EXPERIMENTS.md table artifact schema (``repro experiment --json``).
@@ -382,83 +381,3 @@ def experiment_artifact(
         {"experiment": experiment_id, "title": title, "rows": list(rows)},
         EXPERIMENT_SCHEMA_VERSION,
     )
-
-
-# ---------------------------------------------------------------------------
-# Artifact stamping (schema version + content hash)
-# ---------------------------------------------------------------------------
-#
-# Artifacts that downstream steps *consume* (the CI service smoke asserts on
-# the loadgen artifact) carry a schema version and a content hash, so a
-# consumer can tell a truncated or hand-edited file from a genuine one and
-# fail loudly on a schema it does not understand.
-
-#: Field names the stamp occupies in a stamped artifact.
-STAMP_SCHEMA_FIELD = "schema_version"
-STAMP_HASH_FIELD = "content_hash"
-STAMP_EXCLUDES_FIELD = "content_hash_excludes"
-
-
-def artifact_content_hash(payload: dict) -> str:
-    """SHA-256 over the canonical JSON of the payload minus the hash
-    field and any top-level fields the stamp declares volatile.
-
-    Volatile fields (``content_hash_excludes``) exist for measurements
-    that legitimately differ between bit-identical runs -- wall-clock
-    timing, requeue counts.  Excluding them makes the content hash a
-    pure function of the *deterministic* payload, which is what lets a
-    kill-9'd-and-resumed campaign present the same digest as an
-    uninterrupted one.  The excludes list itself **is** hashed, so it
-    cannot be widened after the fact to hide tampering.
-    """
-    volatile = set(payload.get(STAMP_EXCLUDES_FIELD, ()))
-    body = {
-        k: v
-        for k, v in payload.items()
-        if k != STAMP_HASH_FIELD and k not in volatile
-    }
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def stamp_artifact(
-    payload: dict,
-    schema_version: int,
-    volatile: Sequence[str] = (),
-) -> dict:
-    """A copy of ``payload`` carrying its schema version and content hash.
-
-    ``volatile`` names top-level fields excluded from the content hash
-    (recorded in the stamp, so verification applies the same exclusion).
-    """
-    stamped = dict(payload)
-    stamped[STAMP_SCHEMA_FIELD] = schema_version
-    if volatile:
-        missing = [name for name in volatile if name not in stamped]
-        if missing:
-            raise ValueError(f"volatile field(s) not in payload: {missing}")
-        stamped[STAMP_EXCLUDES_FIELD] = sorted(volatile)
-    stamped[STAMP_HASH_FIELD] = artifact_content_hash(stamped)
-    return stamped
-
-
-def verify_stamp(payload: dict, expected_schema: int | None = None) -> None:
-    """Validate a stamped artifact; raises ``ValueError`` on any mismatch."""
-    if STAMP_SCHEMA_FIELD not in payload:
-        raise ValueError("artifact has no schema_version stamp")
-    if expected_schema is not None:
-        found = payload[STAMP_SCHEMA_FIELD]
-        if found != expected_schema:
-            raise ValueError(
-                f"artifact schema_version {found!r} != expected "
-                f"{expected_schema}"
-            )
-    recorded = payload.get(STAMP_HASH_FIELD)
-    if not recorded:
-        raise ValueError("artifact has no content_hash stamp")
-    actual = artifact_content_hash(payload)
-    if actual != recorded:
-        raise ValueError(
-            f"artifact content hash mismatch: recorded {recorded}, "
-            f"recomputed {actual}"
-        )

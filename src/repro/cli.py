@@ -610,8 +610,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    import json
-
     import repro.analysis as analysis
     from repro.analysis.tables import _cell
 
@@ -624,7 +622,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     rows = fn(**kwargs)
     analysis.print_table(rows, f"{args.id} -- {title}")
     if args.json is not None:
-        from repro.campaign.stats import experiment_artifact
+        from repro.campaign.stats import experiment_artifact, write_artifact
 
         native = (int, float, str, bool)
         plain = [
@@ -639,7 +637,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             for row in rows
         ]
         payload = experiment_artifact(args.id, title, plain)
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
+        write_artifact(args.json, payload)
         print(
             f"artifact written to {args.json} "
             f"(content hash {payload['content_hash']})"
@@ -747,11 +745,17 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     if digest is not None:
         print(f"content digest: {digest}")
     print(result.stats.describe())
+    if args.resume:
+        print(
+            f"journal: kept {result.stats.journal_kept_bytes} bytes, discarded "
+            f"{result.stats.journal_discarded_bytes} behind the last commit"
+        )
     if result.stats.profile is not None:
         print(result.stats.profile.describe())
     if args.json is not None:
         import dataclasses
-        import json
+
+        from repro.durable import write_json
 
         payload = {
             "algorithm": args.algorithm,
@@ -767,7 +771,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 "internal": evaluations[0],
                 "deliver": evaluations[1],
             }
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
+        write_json(args.json, payload)
         print(f"wrote {args.json}")
     return 0
 
@@ -822,7 +826,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         write_artifact,
     )
     from repro.campaign.journal import PARTIAL_NAME
-    from repro.campaign.stats import CAMPAIGN_SCHEMA_VERSION, verify_stamp
+    from repro.campaign.stats import CAMPAIGN_SCHEMA_VERSION
+    from repro.durable import verify_stamp
 
     if args.spec is not None and (
         args.replay is not None or args.shrink is not None
@@ -929,10 +934,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"campaign: {exc}")
         return 2
     stats = run.stats
-    if stats.resumed_results:
+    if args.resume:
         print(
-            f"  resumed {stats.resumed_results}/{total} trials from "
-            f"the journal"
+            f"  resumed {stats.resumed_results}/{total} trials from the "
+            f"journal: kept {stats.journal_kept_bytes} bytes, discarded "
+            f"{stats.journal_discarded_bytes} behind the valid prefix"
         )
     summary = summarize(
         run.results, run.wall_seconds, requeues=stats.requeues
@@ -1048,8 +1054,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import json
 
+    from repro.durable import write_json
     from repro.service import ChaosConfig, ClusterConfig, LocalCluster
 
     chaos = None
@@ -1099,9 +1105,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"grants served: {cluster.total_grants()}")
         if args.verdict_json is not None:
             payload = cluster.verdict_artifact(report)
-            Path(args.verdict_json).write_text(
-                json.dumps(payload, indent=2) + "\n"
-            )
+            write_json(args.verdict_json, payload)
             print(f"verdict artifact written to {args.verdict_json}")
         return 0 if not report.me1 and not report.me3 else 1
 
@@ -1113,8 +1117,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
-    import json
 
+    from repro.durable import write_json
     from repro.service import LoadgenConfig, run_loadgen
 
     if args.duration is None and args.ops is None:
@@ -1133,9 +1137,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     result = asyncio.run(run_loadgen(config))
     print(result.describe())
     if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(result.artifact(), indent=2) + "\n"
-        )
+        write_json(args.json, result.artifact())
         print(f"loadgen artifact written to {args.json}")
     if args.require_grants is not None and result.grants < args.require_grants:
         print(

@@ -155,6 +155,9 @@ class ExplorationStats:
         ``store_dir``).
     ``resumed_states``
         States replayed from the checkpoint journal.
+    ``journal_kept_bytes`` / ``journal_discarded_bytes``
+        The committed prefix of the journal found at opening, and what
+        was cut off behind it (torn, partial level, or failed checksum).
     ``profile``
         Per-phase wall-clock breakdown (only when the exploration ran
         with ``profile=True``).
@@ -178,6 +181,8 @@ class ExplorationStats:
     reexpansions: int = 0
     spill_bytes: int = 0
     resumed_states: int = 0
+    journal_kept_bytes: int = 0
+    journal_discarded_bytes: int = 0
     profile: PhaseProfile | None = None
 
     @property

@@ -20,104 +20,55 @@ directory:
   state of that level precedes it in the file.
 
 The file is append-only, so "a level's admits are durable before its
-commit" is just append order.  Under ``kill -9`` the OS page cache
-survives the process, so "durable" means "accepted by the kernel" --
-there is deliberately no fsync (the model is process death, not power
-loss).  Expansions are deterministic from the member blobs and never
-journalled: ``resume=True`` cuts the journal back to the end of its last
-``COMMIT`` (a torn tail, or the admits of a level a kill or a
+commit" is just append order.  Expansions are deterministic from the
+member blobs and never journalled: ``resume=True`` cuts the journal back
+to the end of its last ``COMMIT`` (a torn tail, everything behind a frame
+that fails its checksum, or the admits of a level a kill or a
 ``max_states`` cut left partial, go), replays the committed levels into
 the digest set, and hands the last committed level back to the loop as
-its frontier, which re-derives everything after it bit for bit.
+its frontier, which re-derives everything after it bit for bit -- a
+flipped bit costs the levels behind it and never changes a digest.
 
-:class:`ShardLog`, :func:`iter_log_records` and :func:`valid_prefix_len`
-are the journal machinery itself and have a second consumer, the durable
-campaign journal (:mod:`repro.campaign.journal`).
+The frame, the log, the valid-prefix replay and the run directory's
+stamped ``meta.json`` are :mod:`repro.durable`'s; this module owns what
+the records mean.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections.abc import Callable, Hashable, Iterator
 from dataclasses import replace
 from typing import Any
 
+from repro.durable import (
+    AppendLog,
+    NoMeta,
+    iter_records,
+    prefix_len,
+    verify_meta,
+    write_meta,
+)
 from repro.explore.engine import Exploration, ExplorationStats, NodeKeys
 from repro.explore.spaces import StateSpace
 from repro.explore.wire import (
     DIGEST_SIZE,
-    HEADER_SIZE,
     REC_ADMIT,
     REC_COMMIT,
     REC_MEMBER,
     WireCodec,
     content_digest,
-    pack_record,
-    unpack_header,
     wire_digest,
 )
 
-#: ``meta.json`` format stamp for run directories (3: one journal; a
-#: directory written by the sharded engine of formats <= 2 is refused).
-META_FORMAT = 3
+#: ``meta.json`` format of exploration run directories (4: checksummed
+#: frames, stamped meta; a directory of any other format is refused).
+META_FORMAT = 4
 
-META_NAME = "meta.json"
 JOURNAL_NAME = "explore.log"
-
-#: Buffered journal bytes that force a write (see :class:`ShardLog`).
-_FLUSH_BYTES = 1 << 20
 
 #: Packed-key -> digest memo bound (see :class:`WireKeys`).
 _MEMO_MAX = 1 << 18
-
-
-# -- run directory metadata -----------------------------------------------
-
-
-def prepare_run_dir(store_dir: str, signature: str) -> None:
-    """Create ``store_dir`` (if needed) and pin its space signature.
-
-    A run directory is only meaningful for one exploration *problem*
-    (space, symmetry, depth bound): replaying a journal from a different
-    problem would silently merge unrelated state sets, so the signature
-    is written on first use and verified ever after.  The meta file is
-    written through a temp file and ``os.replace``, so a kill leaves it
-    whole or absent; one that is unreadable anyway (or carries no format
-    stamp) is an empty directory unless a journal with records sits
-    beside it -- those records cannot be attributed to any exploration.
-    """
-    os.makedirs(store_dir, exist_ok=True)
-    meta_path = os.path.join(store_dir, META_NAME)
-    meta = None
-    try:
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except (FileNotFoundError, ValueError):
-        pass
-    if not isinstance(meta, dict) or "format" not in meta:
-        journal = os.path.join(store_dir, JOURNAL_NAME)
-        if os.path.exists(journal) and os.path.getsize(journal) > 0:
-            raise ValueError(
-                f"{meta_path}: unreadable checkpoint metadata beside a "
-                f"non-empty journal; use a fresh --store-dir"
-            )
-        tmp_path = meta_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            json.dump({"format": META_FORMAT, "signature": signature}, fh)
-            fh.write("\n")
-        os.replace(tmp_path, meta_path)
-        return
-    if meta["format"] != META_FORMAT:
-        raise ValueError(
-            f"{meta_path}: unsupported checkpoint format {meta['format']!r}"
-        )
-    if meta.get("signature") != signature:
-        raise ValueError(
-            f"{meta_path}: checkpoint belongs to a different "
-            f"exploration ({meta.get('signature')!r}, this run is "
-            f"{signature!r}); use a fresh --store-dir"
-        )
 
 
 def _space_signature(space: StateSpace, max_depth: int | None) -> str:
@@ -135,100 +86,6 @@ def _space_signature(space: StateSpace, max_depth: int | None) -> str:
         f"{type(space).__name__}|roots={count}:{xor:032x}"
         f"|sym={group}|depth={max_depth}"
     )
-
-
-# -- the append-only journal ----------------------------------------------
-
-
-class ShardLog:
-    """Append-only framed journal with buffered, unbuffered-on-flush IO.
-
-    ``append`` extends an in-process buffer; :meth:`flush` hands it to
-    ``os.write``.  A writer flushes where a reader may rely on what was
-    appended (a level's ``COMMIT``, a campaign result); in between the
-    buffer is handed over whenever it passes :data:`_FLUSH_BYTES`, so a
-    wide BFS level neither sits in RAM nor outgrows one ``write`` call.
-    """
-
-    __slots__ = ("path", "_fd", "_buf", "bytes_written")
-
-    def __init__(self, path: str):
-        self.path = path
-        self._fd = os.open(
-            path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        self._buf = bytearray()
-        self.bytes_written = 0
-
-    def append(self, tag: int, depth: int, aux: int, payload: bytes) -> None:
-        self._buf += pack_record(tag, depth, aux, payload)
-        if len(self._buf) >= _FLUSH_BYTES:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._buf:
-            os.write(self._fd, self._buf)
-            self.bytes_written += len(self._buf)
-            self._buf.clear()
-
-    def close(self) -> None:
-        self.flush()
-        os.close(self._fd)
-
-
-def iter_log_records(
-    path: str, chunk_size: int = 1 << 20
-) -> Iterator[tuple[int, int, int, bytes]]:
-    """Stream ``(tag, depth, aux, payload)`` records from one journal.
-
-    Constant memory in the journal size; a torn tail (header or payload
-    cut short by a crash) ends iteration silently -- a commit is only
-    ever appended behind the records it covers, so a truncated record
-    belongs to an uncommitted level that replay discards anyway.
-    """
-    with open(path, "rb") as fh:
-        buf = b""
-        while True:
-            data = fh.read(chunk_size)
-            if not data:
-                return
-            buf += data
-            consumed = 0
-            limit = len(buf)
-            while limit - consumed >= HEADER_SIZE:
-                tag, depth, aux, length = unpack_header(buf, consumed)
-                start = consumed + HEADER_SIZE
-                if limit - start < length:
-                    break
-                yield tag, depth, aux, buf[start : start + length]
-                consumed = start + length
-            buf = buf[consumed:]
-
-
-def valid_prefix_len(path: str, chunk_size: int = 1 << 20) -> int:
-    """Byte length of the longest whole-record prefix of a journal: the
-    frames of exactly the records :func:`iter_log_records` yields.
-
-    Appending a new run's records after a torn tail would misalign the
-    framing for every later replay, so a writer truncates the journal to
-    this length (the campaign journal) or to its committed prefix (the
-    exploration journal) before reopening it for append.
-    """
-    return sum(
-        HEADER_SIZE + len(payload)
-        for _tag, _depth, _aux, payload in iter_log_records(path, chunk_size)
-    )
-
-
-def committed_prefix_len(path: str) -> int:
-    """Byte length of a journal up to and including its last ``COMMIT``
-    (0: no level was ever committed) -- what a resume keeps."""
-    offset = committed = 0
-    for tag, _depth, _aux, payload in iter_log_records(path):
-        offset += HEADER_SIZE + len(payload)
-        if tag == REC_COMMIT:
-            committed = offset
-    return committed
 
 
 # -- dedup keys for the wire, and the journalled visited set --------------
@@ -319,22 +176,21 @@ class ShardStore:
         #: order: what a resumed loop expands first
         self.frontier: list[bytes] = []
         self._member_blob = member_blob
-        if resume and os.path.exists(path):
-            # Cut to a committed prefix before any append: a torn tail
-            # would misalign the framing, a partial level would be
-            # admitted twice.
-            os.truncate(path, committed_prefix_len(path))
+        # Cut to the committed prefix (a fresh run: to nothing) before
+        # any append or replay: nothing behind a bad frame is read again,
+        # and a partial level would be admitted twice.
+        self._log = AppendLog(
+            path, prefix_len(path, REC_COMMIT) if resume else 0
+        )
+        if resume:
             self._replay()
         #: states replayed from the journal
         self.resumed_states = len(self.digests)
-        self._log = ShardLog(path)
-        if not resume:
-            os.truncate(path, 0)  # a fresh run restarts the directory
 
     def _replay(self) -> None:
         """Admit every journalled state; the journal ends at a commit."""
         level: list[bytes] = []
-        for tag, depth, _rank, payload in iter_log_records(self.path):
+        for tag, depth, _rank, payload in iter_records(self.path):
             if tag == REC_ADMIT and depth == self.committed + 1:
                 self._admit(payload[:DIGEST_SIZE], len(payload) - DIGEST_SIZE)
                 level.append(payload[DIGEST_SIZE:])
@@ -412,6 +268,8 @@ class ShardStore:
             reexpansions=min(stats.expansions, len(self.frontier)),
             spill_bytes=self._log.bytes_written,
             resumed_states=self.resumed_states,
+            journal_kept_bytes=self._log.kept,
+            journal_discarded_bytes=self._log.discarded,
         )
         return Exploration(store=WireVisitedView(self), stats=stats)
 
@@ -438,7 +296,7 @@ class WireVisitedView:
     def keys(self) -> Iterator[Hashable]:
         """Decode every journalled state (each was admitted once)."""
         decode = WireCodec().decode
-        for tag, _depth, _rank, payload in iter_log_records(self._store.path):
+        for tag, _depth, _rank, payload in iter_records(self._store.path):
             if tag == REC_ADMIT:
                 yield decode(payload[DIGEST_SIZE:])
 
@@ -459,10 +317,23 @@ def open_checkpoint(
     nodes that are their keys).
     """
     keys = WireKeys(space)
-    prepare_run_dir(store_dir, _space_signature(space, max_depth))
-    store = ShardStore(
-        os.path.join(store_dir, JOURNAL_NAME), keys.member_blob, resume
-    )
+    journal = os.path.join(store_dir, JOURNAL_NAME)
+    identity = {
+        "kind": "exploration-journal",
+        "signature": _space_signature(space, max_depth),
+    }
+    try:
+        verify_meta(store_dir, META_FORMAT, identity)
+    except NoMeta as exc:
+        # A kill before the first meta write leaves an empty directory;
+        # records beside no meta cannot be attributed to any exploration.
+        if any(iter_records(journal)):
+            raise ValueError(
+                f"{exc} -- yet a journal sits beside it; use a fresh "
+                "--store-dir"
+            ) from None
+        write_meta(store_dir, META_FORMAT, identity)
+    store = ShardStore(journal, keys.member_blob, resume)
     if store.committed < 0:
         return keys, store, None
     node_of = getattr(space, "node_of_key", None) or (lambda key: key)

@@ -23,17 +23,13 @@ process on any run.  :func:`wire_digest` is the 128-bit BLAKE2b digest
 of that encoding -- the journalled store's dedup index key and the
 per-state contribution to a run's order-independent content digest.
 
-The module also owns the journal record framing used by
-:mod:`repro.explore.shard`: fixed 13-byte headers followed by the wire
-payload, written append-only and parsed back with torn-tail tolerance
-by :func:`repro.explore.shard.iter_log_records` (a record cut short by
-``kill -9`` is discarded, never misread).  The
-framing is deliberately payload-agnostic and has a second consumer: the
-durable campaign journal (:mod:`repro.campaign.journal`) appends its
-lease/result/requeue records through the same header format and replay
-helpers.  Record tags are coordinated across consumers -- exploration
-owns ``A``/``M``/``C`` below, campaigns own ``L``/``R``/``Q`` -- so a
-journal misfiled into the wrong reader fails loudly instead of parsing.
+The module also names the exploration journal's record tags.  The frame
+they travel in, its checksum and the torn-tail-tolerant replay belong to
+:mod:`repro.durable`, which the durable campaign journal
+(:mod:`repro.campaign.journal`) appends through as well; tags are
+coordinated across the two -- exploration owns ``A``/``M``/``C`` below,
+campaigns own ``L``/``R``/``Q`` -- so a journal misfiled into the wrong
+reader fails loudly instead of parsing.
 """
 
 from __future__ import annotations
@@ -264,7 +260,7 @@ def content_digest(xor: int, count: int) -> str:
     return blake2b(raw, digest_size=DIGEST_SIZE).hexdigest()
 
 
-# -- journal record framing -----------------------------------------------
+# -- exploration journal record tags ---------------------------------------
 
 #: Record kinds (see :mod:`repro.explore.shard` for who writes what).
 #: A level's expansions are deliberately *not* journalled: expansion is
@@ -276,12 +272,3 @@ REC_MEMBER = ord("M")  #: payload = first-seen member blob (when it
 #: ADMIT record it directly follows in the log
 REC_COMMIT = ord("C")  #: level ``depth`` fully admitted, every one of
 #: its records ahead of this one (payload = admitted count, u64)
-
-_HEADER = struct.Struct("<BiiI")  # tag, depth, aux, payload length
-HEADER_SIZE = _HEADER.size
-unpack_header = _HEADER.unpack_from
-
-
-def pack_record(tag: int, depth: int, aux: int, payload: bytes) -> bytes:
-    """One framed journal record (header + wire payload)."""
-    return _HEADER.pack(tag, depth, aux, len(payload)) + payload

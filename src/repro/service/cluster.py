@@ -30,6 +30,7 @@ import asyncio
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.durable import stamp_artifact
 from repro.recovery.manager import RecoveryConfig, RecoveryManager
 from repro.runtime.process import ProcessRuntime
 from repro.service.chaos import ChaosConfig, ChaosMonkey
@@ -271,8 +272,6 @@ class LocalCluster:
 
     def verdict_artifact(self, report: TmeSpecReport) -> dict:
         """The stamped service-verdict artifact the CI smoke asserts on."""
-        from repro.campaign.stats import stamp_artifact
-
         payload = {
             "kind": "service-verdict",
             "algorithm": self.config.algorithm,

@@ -12,7 +12,7 @@ pacing* -- nothing about the workload's decisions depends on time-of-day
 config, modulo scheduling).
 
 The result serializes to a stamped JSON artifact
-(``schema_version`` + content hash, :func:`~repro.campaign.stats.
+(``schema_version`` + content hash, :func:`~repro.durable.
 stamp_artifact`) that the CI service smoke re-reads and asserts on.
 """
 
@@ -22,7 +22,8 @@ import asyncio
 import time
 from dataclasses import dataclass, field
 
-from repro.campaign.stats import LatencySummary, stamp_artifact
+from repro.campaign.stats import LatencySummary, latency_dict
+from repro.durable import stamp_artifact
 from repro.service.lockapi import LockClient, LockError
 
 #: Schema of the loadgen JSON artifact.
@@ -81,7 +82,6 @@ class LoadgenResult:
 
     def artifact(self) -> dict:
         """The stamped JSON artifact (see module docstring)."""
-        summary = self.latency_summary()
         payload = {
             "kind": "loadgen",
             "config": {
@@ -98,14 +98,7 @@ class LoadgenResult:
             "errors": self.errors,
             "wall_s": self.wall_s,
             "throughput_grants_per_s": self.throughput,
-            "latency_ms": {
-                "count": summary.count,
-                "mean": summary.mean,
-                "p50": summary.p50,
-                "p95": summary.p95,
-                "max": summary.maximum,
-                "cdf": [list(point) for point in summary.cdf],
-            },
+            "latency_ms": latency_dict(self.latency_summary()),
         }
         return stamp_artifact(payload, LOADGEN_SCHEMA_VERSION)
 

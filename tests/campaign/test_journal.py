@@ -96,6 +96,27 @@ class TestJournalReplay:
         journal.close()
         assert path.stat().st_size == intact
 
+    def test_exploration_journal_fails_loudly(self, tmp_path):
+        # The two journals share a frame; a misfiled one must not be
+        # skipped record by record into an empty, plausible state.
+        import shutil
+
+        from repro.explore import GlobalSimulatorSpace, explore
+        from repro.explore.shard import JOURNAL_NAME as EXPLORE_JOURNAL
+        from repro.tme import ClientConfig, tme_programs
+
+        space = GlobalSimulatorSpace(
+            tme_programs("ra", 2, ClientConfig(think_delay=1, eat_delay=1))
+        )
+        explore(space, max_depth=3, store_dir=str(tmp_path / "explore"))
+        shutil.copy(
+            tmp_path / "explore" / EXPLORE_JOURNAL, tmp_path / JOURNAL_NAME
+        )
+        with pytest.raises(ValueError, match="not a campaign journal") as err:
+            replay_journal(tmp_path)
+        assert str(tmp_path / JOURNAL_NAME) in str(err.value)
+        assert "'A'" in str(err.value)
+
 
 class TestCampaignMeta:
     def test_write_then_verify(self, tmp_path):

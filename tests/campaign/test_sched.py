@@ -21,7 +21,12 @@ from repro.campaign import (
     run_trial,
     single_spec_matrix,
 )
-from repro.campaign.journal import write_campaign_meta
+from repro.campaign.journal import (
+    JOURNAL_NAME,
+    REC_RESULT,
+    write_campaign_meta,
+)
+from repro.durable import FRAME_OVERHEAD, iter_records
 
 SPEC = CampaignSpec(
     algorithm="ra",
@@ -236,6 +241,39 @@ class TestResume:
         assert run.results[0].outcome == "converged"
         log = replay_journal(tmp_path).attempt_log[0]
         assert len(log) == 2
+
+    def test_bit_flipped_result_resumes_to_the_clean_hash(self, tmp_path):
+        """One flipped bit in a journalled digit (``"steps":120`` ->
+        ``130``) used to be surfaced as the trial's result; now its
+        frame ends the valid prefix and the trials behind it run again."""
+        matrix = single_spec_matrix(SPEC, 4)
+        clean = run_matrix(
+            matrix, SchedulerConfig(workers=1), store_dir=str(tmp_path)
+        )
+        path = tmp_path / JOURNAL_NAME
+        raw = bytearray(path.read_bytes())
+        offset = 0
+        for tag, task_id, _attempt, payload in iter_records(path):
+            if tag == REC_RESULT and task_id == 1:
+                tens = payload.index(b'"steps":') + len(b'"steps":') + 1
+                raw[offset + FRAME_OVERHEAD + tens] ^= 1
+                break
+            offset += FRAME_OVERHEAD + len(payload)
+        path.write_bytes(raw)
+
+        run = run_matrix(
+            matrix,
+            SchedulerConfig(workers=1),
+            store_dir=str(tmp_path),
+            resume=True,
+        )
+        assert run.stats.resumed_results == 1  # task 0, ahead of the flip
+        assert run.stats.journal_kept_bytes == offset
+        assert run.stats.journal_discarded_bytes == len(raw) - offset
+        assert [r.steps for r in run.results] == [
+            r.steps for r in clean.results
+        ]
+        assert content_hash(run) == content_hash(clean)
 
     def test_fresh_run_refuses_existing_journal(self, tmp_path):
         matrix = single_spec_matrix(SPEC, 2)

@@ -106,7 +106,8 @@ class TestArtifact:
         assert loaded["summary"]["convergence_rate"] == 1.0
 
     def test_artifact_is_stamped_and_verifiable(self):
-        from repro.campaign.stats import CAMPAIGN_SCHEMA_VERSION, verify_stamp
+        from repro.campaign.stats import CAMPAIGN_SCHEMA_VERSION
+        from repro.durable import verify_stamp
 
         results = run_campaign(SPEC, 2)
         payload = artifact(SPEC, results, summarize(results, 1.0))
@@ -139,7 +140,7 @@ class TestArtifact:
         assert base["content_hash"] != fewer["content_hash"]
 
     def test_volatile_excludes_list_is_tamper_evident(self):
-        from repro.campaign.stats import verify_stamp
+        from repro.durable import verify_stamp
 
         results = run_campaign(SPEC, 2)
         payload = artifact(SPEC, results, summarize(results, 1.0))
@@ -155,7 +156,7 @@ class TestArtifact:
 class TestMatrixArtifact:
     def test_per_config_sections_and_stamp(self):
         from repro.campaign import ExperimentSpec, matrix_artifact, run_matrix
-        from repro.campaign.stats import verify_stamp
+        from repro.durable import verify_stamp
 
         matrix = ExperimentSpec(
             name="mx",
@@ -206,8 +207,8 @@ class TestExperimentArtifact:
         from repro.campaign.stats import (
             EXPERIMENT_SCHEMA_VERSION,
             experiment_artifact,
-            verify_stamp,
         )
+        from repro.durable import verify_stamp
 
         payload = experiment_artifact(
             "E16", "campaign", [{"n": 3, "latency_mean": 4.5}]
@@ -221,7 +222,7 @@ class TestExperimentArtifact:
 
 class TestArtifactStamp:
     def test_stamp_then_verify(self):
-        from repro.campaign.stats import stamp_artifact, verify_stamp
+        from repro.durable import stamp_artifact, verify_stamp
 
         stamped = stamp_artifact({"kind": "loadgen", "grants": 42}, 1)
         assert stamped["schema_version"] == 1
@@ -229,13 +230,13 @@ class TestArtifactStamp:
         verify_stamp(stamped, expected_schema=1)
 
     def test_stamp_survives_json_round_trip(self):
-        from repro.campaign.stats import stamp_artifact, verify_stamp
+        from repro.durable import stamp_artifact, verify_stamp
 
         stamped = stamp_artifact({"nested": {"a": [1, 2]}, "x": 1.5}, 3)
         verify_stamp(json.loads(json.dumps(stamped)), expected_schema=3)
 
     def test_tamper_detected(self):
-        from repro.campaign.stats import stamp_artifact, verify_stamp
+        from repro.durable import stamp_artifact, verify_stamp
 
         stamped = stamp_artifact({"grants": 42}, 1)
         stamped["grants"] = 9000
@@ -243,14 +244,14 @@ class TestArtifactStamp:
             verify_stamp(stamped)
 
     def test_schema_mismatch_detected(self):
-        from repro.campaign.stats import stamp_artifact, verify_stamp
+        from repro.durable import stamp_artifact, verify_stamp
 
         stamped = stamp_artifact({"grants": 1}, 1)
         with pytest.raises(ValueError, match="schema_version"):
             verify_stamp(stamped, expected_schema=2)
 
     def test_unstamped_rejected(self):
-        from repro.campaign.stats import verify_stamp
+        from repro.durable import verify_stamp
 
         with pytest.raises(ValueError):
             verify_stamp({"grants": 1})

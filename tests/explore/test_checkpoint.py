@@ -15,14 +15,16 @@ import time
 
 import pytest
 
-from repro.explore import DFS, GlobalSimulatorSpace, explore
-from repro.explore.shard import (
-    JOURNAL_NAME,
+from repro.durable import (
+    FRAME_OVERHEAD,
     META_NAME,
-    iter_log_records,
-    valid_prefix_len,
+    AppendLog,
+    iter_records,
+    prefix_len,
 )
-from repro.explore.wire import HEADER_SIZE, REC_COMMIT
+from repro.explore import DFS, GlobalSimulatorSpace, explore
+from repro.explore.shard import JOURNAL_NAME
+from repro.explore.wire import REC_ADMIT, REC_COMMIT, REC_MEMBER
 from repro.tme import ClientConfig, tme_programs
 
 CLIENT = ClientConfig(think_delay=1, eat_delay=1)
@@ -54,8 +56,8 @@ def journal(run_dir):
 def commits(run_dir):
     """``(end offset, depth, size)`` of every COMMIT record, in order."""
     out, offset = [], 0
-    for tag, depth, _aux, payload in iter_log_records(journal(run_dir)):
-        offset += HEADER_SIZE + len(payload)
+    for tag, depth, _aux, payload in iter_records(journal(run_dir)):
+        offset += FRAME_OVERHEAD + len(payload)
         if tag == REC_COMMIT:
             out.append((offset, depth, int.from_bytes(payload, "little")))
     return out
@@ -239,14 +241,22 @@ class TestStoreDir:
         with pytest.raises(ValueError, match="unsupported checkpoint format"):
             explore(space(), max_depth=4, store_dir=str(run_dir), resume=True)
 
+    def test_pre_checksum_directory_is_refused(self, tmp_path):
+        # What the last unchecksummed build left: an unstamped meta that
+        # says format 3, beside a journal of 13-byte headers.
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / META_NAME).write_text('{"format": 3, "signature": "x"}\n')
+        (run_dir / JOURNAL_NAME).write_bytes(b"A" + bytes(12))
+        with pytest.raises(ValueError, match="unsupported checkpoint format 3"):
+            explore(space(), max_depth=4, store_dir=str(run_dir), resume=True)
+
     def test_foreign_journal_fails_loudly(self, tmp_path):
         # Record tags are coordinated across consumers so that a journal
         # misfiled into the wrong reader is an error, not a replay.
-        from repro.explore.shard import ShardLog
-
         run_dir = str(tmp_path / "run")
         explore(space(), max_depth=3, store_dir=run_dir)
-        log = ShardLog(journal(run_dir))
+        log = AppendLog(journal(run_dir), prefix_len(journal(run_dir)))
         log.append(ord("L"), 0, 0, b"7")
         log.append(REC_COMMIT, 5, 0, (0).to_bytes(8, "little"))
         log.close()
@@ -392,8 +402,8 @@ class TestCutAnywhere:
         full_dir = str(tmp_path / "full")
         explore(ra3(), max_depth=6, store_dir=full_dir)
         boundaries, offset = [0], 0
-        for _tag, _d, _a, payload in iter_log_records(journal(full_dir)):
-            offset += HEADER_SIZE + len(payload)
+        for _tag, _d, _a, payload in iter_records(journal(full_dir)):
+            offset += FRAME_OVERHEAD + len(payload)
             boundaries.append(offset)
         assert offset == os.path.getsize(journal(full_dir))
         rng = random.Random(2025)
@@ -420,10 +430,67 @@ class TestCutAnywhere:
             assert resumed.visited == serial.visited, cut
             # Frame-aligned, and the journal it left replays cleanly.
             size = os.path.getsize(journal(cut_dir))
-            assert valid_prefix_len(journal(cut_dir)) == size, cut
+            assert prefix_len(journal(cut_dir)) == size, cut
             again = explore(
                 ra3(), max_depth=6, store_dir=cut_dir, resume=True
             )
             assert again.stats.resumed_states == serial.stats.states, cut
             assert again.content_digest() == serial.content_digest(), cut
             assert os.path.getsize(journal(cut_dir)) == size, cut
+
+
+class TestFlipAnywhere:
+    """A flipped bit is a cut at its frame: the levels behind it are
+    re-derived, and no digest ever changes.  (Unchecked, a flip inside an
+    ADMIT digest resumed to the same 28 states under another digest.)"""
+
+    def test_resume_from_a_flipped_bit_is_bit_identical(self, tmp_path):
+        def ra3():
+            return space("ra", 3, "full")
+
+        serial = explore(ra3(), max_depth=6)
+        full_dir = str(tmp_path / "full")
+        explore(ra3(), max_depth=6, store_dir=full_dir)
+        first: dict[int, tuple[int, int]] = {}  # tag -> (start, payload len)
+        offset = 0
+        for tag, _d, _a, payload in iter_records(journal(full_dir)):
+            if len(payload) > 0:
+                first.setdefault(tag, (offset, len(payload)))
+            offset += FRAME_OVERHEAD + len(payload)
+        admit, member, commit = (
+            first[REC_ADMIT][0],
+            first[REC_MEMBER][0],
+            first[REC_COMMIT][0],
+        )
+        flips = {
+            "admit digest": admit + FRAME_OVERHEAD + 3,
+            "member blob": member + FRAME_OVERHEAD + first[REC_MEMBER][1] // 2,
+            "commit count": commit + FRAME_OVERHEAD,
+            "header length": member + 9,
+            "header tag": commit,
+            "checksum": admit + FRAME_OVERHEAD - 1,
+        }
+        committed = commits(full_dir)
+        cut_dir = str(tmp_path / "cut")
+        for what, at in flips.items():
+            shutil.rmtree(cut_dir, ignore_errors=True)
+            shutil.copytree(full_dir, cut_dir)
+            with open(journal(cut_dir), "rb+") as fh:
+                fh.seek(at)
+                byte = fh.read(1)[0]
+                fh.seek(at)
+                fh.write(bytes([byte ^ 0x04]))
+            resumed = explore(
+                ra3(), max_depth=6, store_dir=cut_dir, resume=True
+            )
+            kept = max((end for end, _d, _s in committed if end <= at), default=0)
+            assert resumed.stats.journal_kept_bytes == kept, what
+            assert resumed.stats.journal_discarded_bytes == offset - kept, what
+            assert resumed.stats.resumed_states == sum(
+                size for end, _depth, size in committed if end <= at
+            ), what
+            assert resumed.stats.states == serial.stats.states, what
+            assert resumed.content_digest() == serial.content_digest(), what
+            assert resumed.visited == serial.visited, what
+            size = os.path.getsize(journal(cut_dir))
+            assert prefix_len(journal(cut_dir)) == size, what

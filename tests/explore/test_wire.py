@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 
 from repro.campaign.journal import JOURNAL_NAME, CampaignJournal
 from repro.clocks.timestamps import Timestamp
+from repro.durable import FRAME_OVERHEAD, iter_records, pack_frame, prefix_len
 from repro.explore import GlobalSimulatorSpace
-from repro.explore.shard import iter_log_records, valid_prefix_len
 from repro.explore.wire import (
     DIGEST_SIZE,
-    HEADER_SIZE,
     REC_ADMIT,
     REC_MEMBER,
     WireCodec,
     content_digest,
-    pack_record,
     wire_digest,
 )
 from repro.tme import ClientConfig, tme_programs
@@ -113,12 +111,12 @@ def scan(tmp_path, raw, **kwargs):
     """The records the journal scanner reads back from ``raw``."""
     path = tmp_path / "journal.log"
     path.write_bytes(raw)
-    return list(iter_log_records(str(path), **kwargs))
+    return list(iter_records(str(path), **kwargs))
 
 
 class TestRecordFraming:
     def test_roundtrip(self, tmp_path):
-        raw = pack_record(REC_ADMIT, 3, 17, b"payload") + pack_record(
+        raw = pack_frame(REC_ADMIT, 3, 17, b"payload") + pack_frame(
             REC_MEMBER, 3, 17, b""
         )
         assert scan(tmp_path, raw) == [
@@ -127,14 +125,14 @@ class TestRecordFraming:
         ]
 
     def test_torn_tail_is_dropped(self, tmp_path):
-        whole = pack_record(REC_ADMIT, 1, 0, b"abc")
-        torn = pack_record(REC_ADMIT, 2, 1, b"defghij")
+        whole = pack_frame(REC_ADMIT, 1, 0, b"abc")
+        torn = pack_frame(REC_ADMIT, 2, 1, b"defghij")
         for cut in range(1, len(torn)):
             records = scan(tmp_path, whole + torn[:-cut])
             assert records == [(REC_ADMIT, 1, 0, b"abc")]
 
     def test_header_size_matches_packing(self):
-        assert len(pack_record(REC_ADMIT, 0, 0, b"")) == HEADER_SIZE
+        assert len(pack_frame(REC_ADMIT, 0, 0, b"")) == FRAME_OVERHEAD
 
 
 RECORDS = st.lists(
@@ -159,7 +157,7 @@ class TestHostileJournalBytes:
         and a journal reopened on it appends frame-aligned."""
         store = tmp_path_factory.mktemp("journal")
         path = store / JOURNAL_NAME
-        frames = [pack_record(*record) for record in records]
+        frames = [pack_frame(*record) for record in records]
         raw = b"".join(frames)
         ends = [0]
         for frame in frames:
@@ -168,14 +166,52 @@ class TestHostileJournalBytes:
             whole = sum(1 for end in ends[1:] if end <= cut)
             path.write_bytes(raw[:cut])
             assert (
-                list(iter_log_records(str(path), chunk_size))
+                list(iter_records(str(path), chunk_size))
                 == records[:whole]
             )
-            assert valid_prefix_len(str(path), chunk_size) == ends[whole]
+            assert prefix_len(str(path)) == ends[whole]
             journal = CampaignJournal(store)
             journal.lease(7, 1, 0)
             journal.close()
             assert os.path.getsize(path) > ends[whole]
-            replayed = list(iter_log_records(str(path)))
+            replayed = list(iter_records(str(path)))
             assert replayed[:-1] == records[:whole]
             assert replayed[-1][1:3] == (7, 1)
+
+    @settings(deadline=None, max_examples=25)
+    @given(records=RECORDS, chunk_size=st.integers(1, 64), bit=st.integers(0, 7))
+    def test_bit_flip_at_every_offset(
+        self, tmp_path_factory, records, chunk_size, bit
+    ):
+        """Flip one bit anywhere: replay yields a prefix of the records
+        written -- never one that was not -- ending at the damaged frame;
+        the valid prefix is frame-aligned and a journal reopened on it
+        appends frame-aligned."""
+        store = tmp_path_factory.mktemp("journal")
+        path = store / JOURNAL_NAME
+        frames = [pack_frame(*record) for record in records]
+        raw = bytearray(b"".join(frames))
+        ends = [0]
+        for frame in frames:
+            ends.append(ends[-1] + len(frame))
+        for offset in range(len(raw)):
+            intact = sum(1 for end in ends[1:] if end <= offset)
+            raw[offset] ^= 1 << bit
+            path.write_bytes(raw)
+            raw[offset] ^= 1 << bit
+            assert (
+                list(iter_records(str(path), chunk_size))
+                == records[:intact]
+            )
+            assert prefix_len(str(path)) == ends[intact]
+            journal = CampaignJournal(store)
+            assert (journal.kept, journal.discarded) == (
+                ends[intact],
+                len(raw) - ends[intact],
+            )
+            journal.lease(7, 1, 0)
+            journal.close()
+            replayed = list(iter_records(str(path)))
+            assert replayed[:-1] == records[:intact]
+            assert replayed[-1][1:3] == (7, 1)
+            assert prefix_len(str(path)) == os.path.getsize(path)

@@ -112,7 +112,7 @@ class TestLiveCluster:
         assert report.me3 == ()
 
     def test_verdict_artifact_is_stamped_and_verifies(self):
-        from repro.campaign.stats import verify_stamp
+        from repro.durable import verify_stamp
         from repro.service.cluster import VERDICT_SCHEMA_VERSION
 
         async def scenario():
