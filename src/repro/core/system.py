@@ -18,12 +18,11 @@ box operator) become decidable graph problems -- see
 
 from __future__ import annotations
 
-import random
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from repro.core import graph
-from repro.core.computation import FinitePath, Lasso
+from repro.core.computation import Lasso
 
 StateLike = Hashable
 Transition = tuple[StateLike, StateLike]
@@ -150,42 +149,6 @@ class TransitionSystem:
         )
 
     # -- computations -------------------------------------------------------
-
-    def finite_paths_from(
-        self, state: StateLike, length: int
-    ) -> Iterator[FinitePath]:
-        """Enumerate all finite paths of exactly ``length`` states starting
-        at ``state`` (depth-first)."""
-        if length < 1:
-            raise ValueError("length must be >= 1")
-
-        def extend(path: list[StateLike]) -> Iterator[FinitePath]:
-            if len(path) == length:
-                yield FinitePath(path)
-                return
-            for nxt in sorted(self.transitions[path[-1]], key=repr):
-                path.append(nxt)
-                yield from extend(path)
-                path.pop()
-
-        yield from extend([state])
-
-    def random_walk(
-        self, state: StateLike, length: int, rng: random.Random
-    ) -> FinitePath:
-        """A uniformly random walk of ``length`` states starting at
-        ``state`` (successor chosen uniformly at each step)."""
-        path = [state]
-        while len(path) < length:
-            path.append(rng.choice(sorted(self.transitions[path[-1]], key=repr)))
-        return FinitePath(path)
-
-    def is_path(self, path: FinitePath) -> bool:
-        """Is ``path`` a walk of this system (prefix of a computation)?"""
-        return all(
-            s in self.transitions and t in self.transitions[s]
-            for s, t in path.transitions()
-        ) and path.first in self.transitions
 
     def is_lasso(self, lasso: Lasso) -> bool:
         """Is the lasso's unrolling a computation of this system?"""

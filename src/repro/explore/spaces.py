@@ -440,10 +440,11 @@ class LocalProcessSpace:
     """The local state space of one process (graybox surface).
 
     Nodes are hashable :meth:`~repro.runtime.process.ProcessRuntime.
-    snapshot` tuples.  A state's successors are every enabled internal
-    action plus every acceptable message from the bounded ``alphabet``
-    of (sender, kind, payload) triples; successors whose Lamport clock
-    exceeds ``max_clock`` fall outside the bounded space and are pruned.
+    snapshot` tuples.  A state's :meth:`moves` are every enabled internal
+    action plus every acceptable message from the bounded ``alphabet`` of
+    (sender, kind, payload) triples; its successors are the moves that stay
+    inside the bounded space (a move whose Lamport clock exceeds
+    ``max_clock`` is pruned).
 
     ``symmetry=True`` quotients the space under permutations of the
     *peers* (``pid`` itself stays fixed): the default message alphabet
@@ -486,11 +487,11 @@ class LocalProcessSpace:
 
         yield ProcessRuntime(self.pid, self.program, self.all_pids).snapshot()
 
-    def _within_clock_bound(self, proc) -> bool:
-        lc = proc.variables.get("lc", 0)
-        return isinstance(lc, int) and lc <= self.max_clock
-
-    def successors(self, node: tuple) -> Iterator[tuple]:
+    def moves(self, node: tuple) -> Iterator[tuple[str, tuple]]:
+        """``(label, snapshot)`` for every enabled internal action (labelled
+        with its name) and then every acceptable alphabet message (labelled
+        with its handler, payload and sender), *unpruned*: the clock bound
+        is the exploration's, not the transition relation's."""
         from repro.runtime.process import ProcessRuntime
 
         base = ProcessRuntime(
@@ -499,8 +500,7 @@ class LocalProcessSpace:
         for act in base.enabled_internal_actions():
             clone = base.fork()
             clone.execute_internal(act)
-            if self._within_clock_bound(clone):
-                yield clone.snapshot()
+            yield act.name, clone.snapshot()
         for sender, kind, payload in self.alphabet:
             handler = self.program.receive_action_for(kind)
             if handler is None:
@@ -510,8 +510,14 @@ class LocalProcessSpace:
             if not handler.enabled(view):
                 continue
             clone._apply(handler.body(view))
-            if self._within_clock_bound(clone):
-                yield clone.snapshot()
+            yield f"{handler.name} {payload!r} from {sender}", clone.snapshot()
+
+    def successors(self, node: tuple) -> Iterator[tuple]:
+        """The :meth:`moves` whose clock stays within ``max_clock``."""
+        for _label, snapshot in self.moves(node):
+            lc = dict(snapshot).get("lc", 0)
+            if isinstance(lc, int) and lc <= self.max_clock:
+                yield snapshot
 
     def key(self, node: tuple) -> Hashable:
         return node

@@ -1,10 +1,5 @@
 """The paper's fault model (Section 3.1), as composable injectors."""
 
-from repro.faults.crash_faults import (
-    CrashRestart,
-    CrashStop,
-    PartitionFaults,
-)
 from repro.faults.injector import (
     BudgetedFaults,
     Composite,
@@ -31,8 +26,6 @@ __all__ = [
     "ChannelFlush",
     "Composite",
     "CrashRecover",
-    "CrashRestart",
-    "CrashStop",
     "FaultInjector",
     "ImproperInitialization",
     "MessageCorruption",
@@ -40,7 +33,6 @@ __all__ = [
     "MessageLoss",
     "MessageReorder",
     "NoFaults",
-    "PartitionFaults",
     "Scripted",
     "StateCorruption",
     "Windowed",

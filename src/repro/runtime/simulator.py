@@ -14,7 +14,7 @@ seeded ``random.Random`` instances: runs are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from typing import Any, Protocol
 
 from repro.clocks.happened_before import RecordedEvent
@@ -334,21 +334,6 @@ class Simulator:
             return self._stutter(faults)
         chosen = self.scheduler.choose(candidates, self.step_index)
         return self.execute(chosen, faults)
-
-    def run_until(
-        self,
-        predicate: Callable[["Simulator"], bool],
-        max_steps: int,
-    ) -> tuple[bool, int]:
-        """Step until ``predicate(self)`` holds or ``max_steps`` elapse.
-
-        Returns ``(reached, steps_taken)``.
-        """
-        for i in range(max_steps):
-            if predicate(self):
-                return True, i
-            self.step()
-        return predicate(self), max_steps
 
     @property
     def is_quiescent(self) -> bool:

@@ -25,8 +25,9 @@ definition speak about the raw phase variable.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.clocks.happened_before import check_timestamp_spec
 from repro.clocks.timestamps import Timestamp
@@ -139,6 +140,76 @@ def adapters_of(programs: Mapping[str, ProcessProgram]) -> dict[str, Adapter]:
     return {pid: adapter_for(prog.name) for pid, prog in programs.items()}
 
 
+#: The transition-local safety clauses: one step of one process decides
+#: each, so :func:`judge_step` is the whole of their definition.
+STEP_CLAUSES = ("structural", "flow", "request", "cs_entry", "cs_release")
+
+_FLOW = {
+    THINKING: {THINKING, HUNGRY},
+    HUNGRY: {HUNGRY, EATING},
+    EATING: {EATING, THINKING},
+}
+
+
+def judge_step(
+    pid: str,
+    pre: Mapping[str, Any],
+    post: Mapping[str, Any],
+    pre_view: LspecView,
+    post_view: LspecView,
+    peers: tuple[str, ...],
+) -> Iterator[tuple[str, str | None]]:
+    """The transition-local safety clauses over one program step of ``pid``.
+
+    ``pre``/``post`` are the acting process's raw valuations (Structural,
+    Flow and CS Release speak about the raw ``phase``/``lc``/``req``),
+    ``pre_view``/``post_view`` its adapter views.  Yields ``(clause,
+    detail)`` for every clause the step is subject to; ``detail`` is
+    ``None`` when the step satisfies it, else what it broke:
+
+    * Structural -- the step leaves a valid phase;
+    * Flow -- t unless h, h unless e, e unless t (a corrupted pre-phase
+      leaves the step unconstrained: the program may recover to anything
+      valid);
+    * Request safety -- REQ is frozen across hungry-to-hungry steps;
+    * CS Entry safety -- entering requires ``forall k : REQ_j lt j.REQ_k``;
+    * CS Release -- an *event* (clock- or phase-changing step) that
+      results in thinking sets ``REQ_j = ts:j``.
+    """
+    before, after = pre["phase"], post["phase"]
+    yield "structural", None if after in PHASES else f"phase={after!r}"
+    flows = _FLOW.get(before)
+    yield "flow", (
+        f"{before} -> {after}"
+        if flows is not None and after in PHASES and after not in flows
+        else None
+    )
+    if pre_view.phase == HUNGRY and post_view.phase == HUNGRY:
+        yield "request", (
+            None
+            if pre_view.req == post_view.req
+            else f"REQ changed while hungry: {pre_view.req} -> {post_view.req}"
+        )
+    if pre_view.phase == HUNGRY and post_view.phase == EATING:
+        blocked = [k for k in peers if not pre_view.req.lt(pre_view.req_of[k])]
+        yield "cs_entry", (
+            f"entered CS while blocked by {blocked}" if blocked else None
+        )
+    lc_after = post["lc"]
+    if after == THINKING and (pre["lc"] != lc_after or before != after):
+        req_after = post["req"]
+        expected = (
+            Timestamp(lc_after, pid)
+            if isinstance(lc_after, int) and lc_after >= 0
+            else None
+        )
+        yield "cs_release", (
+            None
+            if expected is not None and req_after == expected
+            else f"thinking with REQ={req_after!r}, ts:j={expected!r}"
+        )
+
+
 class LspecChecker:
     """Evaluates all Lspec clauses on one trace.
 
@@ -190,50 +261,34 @@ class LspecChecker:
     def _raw_phase(self, index: int, pid: str):
         return self.trace.states[index].var(pid, "phase")
 
-    # -- Client Spec ------------------------------------------------------------
+    # -- the transition-local safety clauses --------------------------------------
 
-    def check_structural(self) -> ClauseReport:
-        """Every program step leaves the acting process in a valid phase
-        (exactly one of t/h/e -- encoded as the single ``phase`` variable)."""
-        rep = ClauseReport("structural")
-        for i, step, _pre, post in self._transitions():
-            rep.checked += 1
-            if step.pid is None:
-                continue
-            phase = post.var(step.pid, "phase")
-            if phase not in PHASES:
-                rep.violations.append(
-                    Violation(
-                        "structural", step.pid, i + 1, f"phase={phase!r}"
-                    )
-                )
-        return rep
-
-    _FLOW = {
-        THINKING: {THINKING, HUNGRY},
-        HUNGRY: {HUNGRY, EATING},
-        EATING: {EATING, THINKING},
-    }
-
-    def check_flow(self) -> ClauseReport:
-        """Flow Spec: t unless h, h unless e, e unless t -- on the acting
-        process's phase (a corrupted pre-phase leaves the step
-        unconstrained: the program may recover to anything valid)."""
-        rep = ClauseReport("flow")
+    def check_steps(self) -> dict[str, ClauseReport]:
+        """:func:`judge_step` on every program step of the checked window:
+        Structural, Flow, and the safety halves of Request, CS Entry and
+        CS Release (:data:`STEP_CLAUSES`), in one pass."""
+        reports = {name: ClauseReport(name) for name in STEP_CLAUSES}
         for i, step, pre, post in self._transitions():
-            if step.pid is None:
+            pid = step.pid
+            if pid is None:
+                reports["structural"].checked += 1
                 continue
-            rep.checked += 1
-            before = pre.var(step.pid, "phase")
-            after = post.var(step.pid, "phase")
-            if before in self._FLOW and after in PHASES:
-                if after not in self._FLOW[before]:
-                    rep.violations.append(
-                        Violation(
-                            "flow", step.pid, i + 1, f"{before} -> {after}"
-                        )
-                    )
-        return rep
+            verdicts = judge_step(
+                pid,
+                pre.process_vars(pid),
+                post.process_vars(pid),
+                self.view(i, pid),
+                self.view(i + 1, pid),
+                self.peers[pid],
+            )
+            for clause, detail in verdicts:
+                rep = reports[clause]
+                rep.checked += 1
+                if detail is not None:
+                    rep.violations.append(Violation(clause, pid, i + 1, detail))
+        return reports
+
+    # -- liveness ------------------------------------------------------------------
 
     def check_cs(self) -> ClauseReport:
         """CS Spec: ``e.j |-> ~e.j`` (eating is transient; client duty)."""
@@ -253,30 +308,9 @@ class LspecChecker:
                 )
         return rep
 
-    # -- Program Spec ----------------------------------------------------------
-
-    def check_request(self) -> ClauseReport:
-        """Request Spec: while hungry REQ_j is unchanged, and becoming
-        hungry obliges a request send to every peer."""
-        rep = ClauseReport("request")
-        # safety: REQ frozen across hungry-to-hungry program steps
-        for i, step, _pre, _post in self._transitions():
-            if step.pid is None:
-                continue
-            pre_v = self.view(i, step.pid)
-            post_v = self.view(i + 1, step.pid)
-            if pre_v.phase == HUNGRY and post_v.phase == HUNGRY:
-                rep.checked += 1
-                if pre_v.req != post_v.req:
-                    rep.violations.append(
-                        Violation(
-                            "request",
-                            step.pid,
-                            i + 1,
-                            f"REQ changed while hungry: {pre_v.req} -> {post_v.req}",
-                        )
-                    )
-        # liveness: request onset => send(REQ_j) to every peer, eventually
+    def _request_sends(self, rep: ClauseReport) -> None:
+        """Request Spec's liveness half: becoming hungry obliges a request
+        send to every peer, eventually."""
         send_index: dict[tuple[str, str], list[int]] = {}
         for i, step in enumerate(self.trace.steps):
             if step.pid is None:
@@ -301,7 +335,6 @@ class LspecChecker:
                                 f"no request sent to {k} after onset",
                             )
                         )
-        return rep
 
     def check_reply(self) -> ClauseReport:
         """Reply Spec: receiving an *earlier* request obliges a reply.
@@ -339,33 +372,9 @@ class LspecChecker:
                     )
         return rep
 
-    def check_cs_entry(self) -> ClauseReport:
-        """CS Entry Spec: (safety) entering the CS requires
-        ``forall k : REQ_j lt j.REQ_k``; (liveness) a hungry process whose
-        view satisfies that condition eventually eats."""
-        rep = ClauseReport("cs_entry")
-        for i, step, _pre, _post in self._transitions():
-            if step.pid is None:
-                continue
-            pre_v = self.view(i, step.pid)
-            post_v = self.view(i + 1, step.pid)
-            if pre_v.phase == HUNGRY and post_v.phase == EATING:
-                rep.checked += 1
-                blocked = [
-                    k
-                    for k in self.peers[step.pid]
-                    if not pre_v.req.lt(pre_v.req_of[k])
-                ]
-                if blocked:
-                    rep.violations.append(
-                        Violation(
-                            "cs_entry",
-                            step.pid,
-                            i + 1,
-                            f"entered CS while blocked by {blocked}",
-                        )
-                    )
-        # liveness
+    def _entry_taken(self, rep: ClauseReport) -> None:
+        """CS Entry Spec's liveness half: a hungry process whose view
+        satisfies ``forall k : REQ_j lt j.REQ_k`` eventually eats."""
         for pid in self.pids:
             since: int | None = None
             for i in range(self.start, len(self.trace.states)):
@@ -387,39 +396,6 @@ class LspecChecker:
                         "entry condition held, CS never entered",
                     )
                 )
-        return rep
-
-    def check_cs_release(self) -> ClauseReport:
-        """CS Release Spec: any program *event* (clock- or phase-changing
-        step) of ``j`` that results in thinking sets
-        ``REQ_j = ts:j`` (the timestamp of the most current event)."""
-        rep = ClauseReport("cs_release")
-        for i, step, pre, post in self._transitions():
-            if step.pid is None:
-                continue
-            pid = step.pid
-            lc_before = pre.var(pid, "lc")
-            lc_after = post.var(pid, "lc")
-            phase_after = post.var(pid, "phase")
-            changed = lc_before != lc_after or pre.var(pid, "phase") != phase_after
-            if phase_after == THINKING and changed:
-                rep.checked += 1
-                req_after = post.var(pid, "req")
-                expected = (
-                    Timestamp(lc_after, pid)
-                    if isinstance(lc_after, int) and lc_after >= 0
-                    else None
-                )
-                if expected is None or req_after != expected:
-                    rep.violations.append(
-                        Violation(
-                            "cs_release",
-                            pid,
-                            i + 1,
-                            f"thinking with REQ={req_after!r}, ts:j={expected!r}",
-                        )
-                    )
-        return rep
 
     # -- Environment Spec --------------------------------------------------------
 
@@ -471,18 +447,16 @@ class LspecChecker:
 
     def check_all(self) -> LspecReport:
         """Evaluate every clause and bundle the verdicts."""
-        clauses = {
-            "structural": self.check_structural(),
-            "flow": self.check_flow(),
-            "cs": self.check_cs(),
-            "request": self.check_request(),
-            "reply": self.check_reply(),
-            "cs_entry": self.check_cs_entry(),
-            "cs_release": self.check_cs_release(),
-            "timestamp": self.check_timestamp(),
-            "communication": self.check_communication(),
-        }
-        return LspecReport(clauses, len(self.trace.states))
+        clauses = self.check_steps()
+        self._request_sends(clauses["request"])
+        self._entry_taken(clauses["cs_entry"])
+        clauses["cs"] = self.check_cs()
+        clauses["reply"] = self.check_reply()
+        clauses["timestamp"] = self.check_timestamp()
+        clauses["communication"] = self.check_communication()
+        return LspecReport(
+            {name: clauses[name] for name in CLAUSES}, len(self.trace.states)
+        )
 
 
 def _fifo_step(before: tuple, after: tuple) -> bool:

@@ -9,6 +9,8 @@ system:
   scrambler (the paper's state space is typed: a corrupted ``REQ_j`` is an
   arbitrary *timestamp*, not an arbitrary bit pattern -- arbitrary bytes
   belong to *message* corruption, where receivers discard garbage);
+* :func:`local_domain` -- its enumerated twin: every corrupted protocol
+  state of one process over a bounded clock domain;
 * :func:`tme_message_corrupter` / :func:`garbage_channel_filler` -- message
   faults;
 * :func:`standard_fault_campaign` -- the E2 fault burst (loss + duplication
@@ -19,7 +21,9 @@ system:
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from repro.clocks.timestamps import Timestamp
@@ -167,6 +171,51 @@ def scramble_tme_state(
     names = sorted(candidates)
     chosen = rng.sample(names, rng.randint(1, len(names)))
     return {name: candidates[name] for name in chosen}
+
+
+def local_domain(
+    algorithm: str, pid: str, pids: tuple[str, ...], max_clock: int
+) -> Iterator[dict[str, object]]:
+    """Every corrupted protocol state of ``pid`` with clocks ``<= max_clock``:
+    the enumerated twin of :func:`scramble_tme_state`, which samples the
+    same typed variables.  Each item is an ``overrides`` mapping over the
+    program's initial valuation (the client's bookkeeping is not part of
+    the corruptible state):
+
+    * ``ra``: phase x lc x REQ x (j.REQ_k, received_k) per peer;
+    * ``lamport``: phase x lc x REQ x a queue holding at most one entry per
+      process x grant_k per peer.
+    """
+    peers = tuple(k for k in pids if k != pid)
+    clocks = range(max_clock + 1)
+    if algorithm == "ra":
+        copies = list(itertools.product(clocks, (False, True)))
+        rest = [
+            {
+                "req_of": tmap(
+                    {k: Timestamp(c, k) for k, (c, _) in zip(peers, choice)}
+                ),
+                "received": tmap(
+                    {k: flag for k, (_, flag) in zip(peers, choice)}
+                ),
+            }
+            for choice in itertools.product(copies, repeat=len(peers))
+        ]
+    elif algorithm == "lamport":
+        slots = [(None, *(Timestamp(c, k) for c in clocks)) for k in pids]
+        rest = [
+            {
+                "queue": tuple(sorted(e for e in entries if e is not None)),
+                "grant": tmap(dict(zip(peers, grants))),
+            }
+            for entries in itertools.product(*slots)
+            for grants in itertools.product((False, True), repeat=len(peers))
+        ]
+    else:
+        raise ValueError(f"no local domain for algorithm {algorithm!r}")
+    for phase, lc, req in itertools.product(PHASES, clocks, clocks):
+        for extra in rest:
+            yield {"phase": phase, "lc": lc, "req": Timestamp(req, pid), **extra}
 
 
 # ---------------------------------------------------------------------------

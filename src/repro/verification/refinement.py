@@ -9,32 +9,37 @@
    clause.  Any safety violation refutes the theorem for our encoding;
    liveness clauses are judged with a grace horizon.
 
-2. **Exhaustive small scope** (:func:`exhaustive_lspec_check`): enumerate
-   *all* local process states over a bounded clock domain for a 2-process
-   system and check every enabled transition against the transition-local
-   Lspec clauses (Structural, Flow, Request-safety, CS-Entry-safety,
-   CS-Release).  This is the direct analogue of the paper's per-process
-   proof obligations, and it is exactly the verification task whose cost
-   the graybox argument says stays *per-process* -- compare
+2. **Exhaustive small scope** (:func:`exhaustive_lspec_check`): every local
+   state of one process of a 2-process system over a bounded clock domain
+   (:func:`repro.tme.scenarios.local_domain`), every transition out of it
+   (:meth:`repro.explore.LocalProcessSpace.moves`, unpruned), and each edge
+   judged by :func:`repro.tme.lspec.judge_step` -- the one definition of
+   the transition-local clauses (Structural, Flow, Request-safety,
+   CS-Entry-safety, CS-Release) that :func:`~repro.tme.lspec.check_lspec`
+   also applies to traces.  This is the direct analogue of the paper's
+   per-process proof obligations, and it is exactly the verification task
+   whose cost the graybox argument says stays *per-process* -- compare
    :class:`repro.explore.GlobalSimulatorSpace` for the whitebox
    global-state counterpart.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.campaign.seeds import FAULTS_STREAM, SCHEDULER_STREAM, spawn_rng
-from repro.clocks.timestamps import Timestamp
+from repro.explore.spaces import LocalProcessSpace, default_message_alphabet
 from repro.faults.state_faults import ImproperInitialization
 from repro.runtime.scheduler import RandomScheduler
 from repro.runtime.simulator import Simulator
 from repro.tme.client import ClientConfig
-from repro.tme.interfaces import EATING, HUNGRY, PHASES, THINKING, tmap
-from repro.tme.lspec import check_lspec
+from repro.tme.interfaces import RELEASE, REPLY, REQUEST, adapter_for
+from repro.tme.lspec import check_lspec, judge_step
 from repro.tme.scenarios import (
     garbage_channel_filler,
+    local_domain,
+    pids_for,
     scramble_tme_state,
     tme_programs,
 )
@@ -125,62 +130,46 @@ def everywhere_implements_lspec(
 # ---------------------------------------------------------------------------
 
 
+#: Violating edges an :class:`ExhaustiveResult` keeps as witnesses.
+MAX_WITNESSES = 20
+
+#: The message kinds each modelled algorithm receives.
+_KINDS = {"ra": (REQUEST, REPLY), "lamport": (REQUEST, REPLY, RELEASE)}
+
+
+@dataclass(frozen=True)
+class Witness:
+    """One violating edge: the pre-state, the move taken, what it broke."""
+
+    valuation: tuple[tuple[str, Any], ...]
+    move: str
+    clause: str
+    detail: str
+
+
 @dataclass(frozen=True)
 class ExhaustiveResult:
-    """Outcome of the exhaustive small-scope transition check."""
+    """Outcome of the exhaustive small-scope transition check.
+
+    ``violation_counts`` counts every violating edge, per clause;
+    ``violations`` keeps the first :data:`MAX_WITNESSES` of them.
+    """
 
     algorithm: str
     states_checked: int
     transitions_checked: int
-    violations: tuple[str, ...]
+    violations: tuple[Witness, ...]
+    violation_counts: dict[str, int]
+
+    @property
+    def violation_count(self) -> int:
+        """Violating edges in all, witnessed or not."""
+        return sum(self.violation_counts.values())
 
     @property
     def ok(self) -> bool:
         """Every checked transition satisfied the local clauses."""
-        return not self.violations
-
-
-def _local_states_ra(pid: str, peer: str, max_clock: int):
-    """Every RA_ME local state over a bounded clock domain (2 processes)."""
-    clocks = range(max_clock + 1)
-    for phase, lc, req_c, req_of_c, recv in itertools.product(
-        PHASES, clocks, clocks, clocks, (False, True)
-    ):
-        yield {
-            "phase": phase,
-            "lc": lc,
-            "req": Timestamp(req_c, pid),
-            "req_of": tmap({peer: Timestamp(req_of_c, peer)}),
-            "received": tmap({peer: recv}),
-            "think_timer": 0,
-            "eat_timer": 0,
-            "sessions_left": -1,
-        }
-
-
-def _local_states_lamport(pid: str, peer: str, max_clock: int):
-    clocks = range(max_clock + 1)
-    queue_options: list[tuple[Timestamp, ...]] = [()]
-    queue_options += [(Timestamp(c, pid),) for c in clocks]
-    queue_options += [(Timestamp(c, peer),) for c in clocks]
-    queue_options += [
-        tuple(sorted((Timestamp(a, pid), Timestamp(b, peer))))
-        for a in clocks
-        for b in clocks
-    ]
-    for phase, lc, req_c, queue, grant in itertools.product(
-        PHASES, range(max_clock + 1), range(max_clock + 1), queue_options, (False, True)
-    ):
-        yield {
-            "phase": phase,
-            "lc": lc,
-            "req": Timestamp(req_c, pid),
-            "queue": queue,
-            "grant": tmap({peer: grant}),
-            "think_timer": 0,
-            "eat_timer": 0,
-            "sessions_left": -1,
-        }
+        return not self.violation_counts
 
 
 def count_local_states(
@@ -188,120 +177,61 @@ def count_local_states(
 ) -> int:
     """The size of one process's local state domain with ``n-1`` peers over
     a bounded clock domain -- the per-process surface a graybox check
-    covers (enumerated, not computed, so it stays honest to the encoding).
+    covers: :func:`~repro.tme.scenarios.local_domain` enumerated, the very
+    states :func:`exhaustive_lspec_check` judges.
 
     For RA_ME the local state is
     ``phase x lc x REQ x (j.REQ_k, received_k) per peer``.
     """
     if algorithm != "ra":
         raise ValueError("local-state counting is defined for 'ra'")
-    peers = n - 1
-    if peers < 1:
-        raise ValueError("need at least one peer")
-    clocks = max_clock + 1
-    count = 0
-    per_peer = clocks * 2  # j.REQ_k timestamp x received flag
-    for _phase in PHASES:
-        for _lc in range(clocks):
-            for _req in range(clocks):
-                count += per_peer**peers
-    return count
-
-
-_FLOW = {
-    THINKING: {THINKING, HUNGRY},
-    HUNGRY: {HUNGRY, EATING},
-    EATING: {EATING, THINKING},
-}
+    pids = pids_for(n)
+    return sum(1 for _ in local_domain(algorithm, pids[0], pids, max_clock))
 
 
 def exhaustive_lspec_check(
     algorithm: str, max_clock: int = 3
 ) -> ExhaustiveResult:
-    """Check the transition-local Lspec clauses on *every* local state of a
-    single process (2-process scope, clocks bounded by ``max_clock``).
+    """Judge every transition of one process from *every* local state
+    (2-process scope, clocks bounded by ``max_clock``).
 
-    For each enumerated state and each enabled internal action and each
-    possible received message, execute the transition and verify:
-    Structural, Flow, Request-safety (REQ frozen while hungry),
-    CS-Entry-safety (entry only when all copies are later), and CS-Release
-    (events landing in ``t`` set ``REQ = ts``).
+    The states are :func:`~repro.tme.scenarios.local_domain`'s over the
+    program's initial valuation; the transitions out of each are
+    :meth:`~repro.explore.LocalProcessSpace.moves` -- every enabled
+    internal action and every acceptable message of the bounded alphabet,
+    the moves that carry the clock past ``max_clock`` included (they leave
+    the enumerated domain, not the theorem); each edge is judged by
+    :func:`~repro.tme.lspec.judge_step`.
     """
-    from repro.tme.interfaces import adapter_for
-    from repro.tme.lamport_me import lamport_program
-    from repro.tme.ricart_agrawala import ra_program
-
-    pid, peer = "p0", "p1"
-    client = ClientConfig(think_delay=0, eat_delay=0)
-    if algorithm == "ra":
-        program = ra_program(pid, (pid, peer), client)
-        states = _local_states_ra(pid, peer, max_clock)
-        kinds = ("request", "reply")
-    elif algorithm == "lamport":
-        program = lamport_program(pid, (pid, peer), client)
-        states = _local_states_lamport(pid, peer, max_clock)
-        kinds = ("request", "reply", "release")
-    else:
+    if algorithm not in _KINDS:
         raise ValueError(f"no exhaustive model for {algorithm!r}")
+    pids = pids_for(2)
+    pid, peers = pids[0], pids[1:]
+    client = ClientConfig(think_delay=0, eat_delay=0)
+    program = tme_programs(algorithm, 2, client)[pid]
+    alphabet = default_message_alphabet(peers, _KINDS[algorithm], max_clock)
+    space = LocalProcessSpace(program, pid, pids, alphabet, max_clock)
     adapter = adapter_for(program.name)
-
-    violations: list[str] = []
-    states_checked = 0
-    transitions = 0
-
-    from repro.runtime.process import ProcessRuntime
-
-    for variables in states:
-        states_checked += 1
-        outcomes = []
-        proc = ProcessRuntime(pid, program, (pid, peer), overrides=variables)
-        for act in proc.enabled_internal_actions():
-            clone = ProcessRuntime(pid, program, (pid, peer), overrides=dict(variables))
-            clone.execute_internal(act)
-            outcomes.append((act.name, clone.variables))
-        for kind in kinds:
-            for clock in range(max_clock + 1):
-                handler = program.receive_action_for(kind)
-                if handler is None:
-                    continue
-                clone = ProcessRuntime(
-                    pid, program, (pid, peer), overrides=dict(variables)
-                )
-                view = clone.view(
-                    {"_msg": Timestamp(clock, peer), "_sender": peer}
-                )
-                if not handler.enabled(view):
-                    continue
-                clone._apply(handler.body(view))
-                outcomes.append((f"recv-{kind}({clock})", clone.variables))
-        pre_view = adapter(variables, pid, (peer,))
-        for name, post in outcomes:
+    counts: dict[str, int] = {}
+    witnesses: list[Witness] = []
+    states = transitions = 0
+    for overrides in local_domain(algorithm, pid, pids, max_clock):
+        states += 1
+        pre = {**program.initial_vars, **overrides}
+        node = tuple(sorted(pre.items()))
+        pre_view = adapter(pre, pid, peers)
+        for move, snapshot in space.moves(node):
             transitions += 1
-            post_view = adapter(post, pid, (peer,))
-            where = f"{algorithm} state={variables['phase']},{variables['lc']} action={name}"
-            if post["phase"] not in PHASES:
-                violations.append(f"structural: {where}")
-            elif variables["phase"] in _FLOW and post["phase"] not in _FLOW[
-                variables["phase"]
-            ]:
-                violations.append(f"flow: {where}")
-            if (
-                pre_view["phase"] == HUNGRY
-                and post_view["phase"] == HUNGRY
-                and pre_view["req"] != post_view["req"]
+            post = dict(snapshot)
+            post_view = adapter(post, pid, peers)
+            for clause, detail in judge_step(
+                pid, pre, post, pre_view, post_view, peers
             ):
-                violations.append(f"request-safety: {where}")
-            if pre_view["phase"] == HUNGRY and post_view["phase"] == EATING:
-                if not all(
-                    pre_view["req"].lt(v) for v in pre_view["req_of"].values()
-                ):
-                    violations.append(f"cs-entry-safety: {where}")
-            lc_changed = variables["lc"] != post["lc"]
-            if post["phase"] == THINKING and (
-                lc_changed or variables["phase"] != post["phase"]
-            ):
-                if post["req"] != Timestamp(post["lc"], pid):
-                    violations.append(f"cs-release: {where}")
+                if detail is None:
+                    continue
+                counts[clause] = counts.get(clause, 0) + 1
+                if len(witnesses) < MAX_WITNESSES:
+                    witnesses.append(Witness(node, move, clause, detail))
     return ExhaustiveResult(
-        algorithm, states_checked, transitions, tuple(violations[:20])
+        algorithm, states, transitions, tuple(witnesses), counts
     )

@@ -1,11 +1,8 @@
 """Unit tests for TransitionSystem."""
 
-import random
-
 import pytest
 
 from repro.core import (
-    FinitePath,
     Lasso,
     SystemError_,
     TransitionSystem,
@@ -76,24 +73,6 @@ class TestReachability:
 
 
 class TestComputations:
-    def test_finite_paths_enumeration(self):
-        paths = list(diamond().finite_paths_from("a", 3))
-        assert FinitePath(["a", "b", "d"]) in paths
-        assert FinitePath(["a", "c", "d"]) in paths
-        assert len(paths) == 2
-
-    def test_finite_paths_length_one(self):
-        assert list(diamond().finite_paths_from("d", 1)) == [FinitePath(["d"])]
-
-    def test_random_walk_is_path(self):
-        d = diamond()
-        walk = d.random_walk("a", 10, random.Random(1))
-        assert len(walk) == 10
-        assert d.is_path(walk)
-
-    def test_is_path_rejects_foreign(self):
-        assert not diamond().is_path(FinitePath(["a", "d"]))
-
     def test_is_lasso(self):
         d = diamond()
         assert d.is_lasso(Lasso(["a", "b"], ["d"]))

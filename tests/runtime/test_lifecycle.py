@@ -1,10 +1,13 @@
 """Process lifecycle (crash / recovering / live) and link partitions."""
 
+import random
+
 import pytest
 
+from repro.faults import Scripted, Windowed
 from repro.runtime import Network
 from repro.runtime.process import CRASHED, LIVE, RECOVERING
-from repro.tme import build_simulation
+from repro.tme import build_simulation, scramble_tme_state
 
 
 def sim_ra(n=3, seed=0):
@@ -92,6 +95,34 @@ class TestCrash:
         clone = sim.processes["p0"].fork()
         assert clone.status == CRASHED
         assert clone.restart_at == 99
+
+    def test_restart_scheduled_in_a_fault_window_fires_after_it(self):
+        """Crash-restart is one fault: the revival a ``Windowed`` hook
+        schedules is the runtime's, and fires after the window closed."""
+        sim = sim_ra(seed=2)
+        crash = Scripted(
+            {5: lambda s: f"crash p0 ({s.crash_process('p0', restart_at=35)})"}
+        )
+        sim.fault_hook = Windowed(crash, 5, 6)
+        records = [sim.step() for _ in range(60)]
+        assert [r.index for r in records if r.faults] == [5, 35]
+        assert records[35].faults == ("restart:p0",)
+        assert sim.processes["p0"].is_live
+
+    def test_restart_vars_layered_over_initial(self):
+        """A restart valuation is scrambled protocol state over the
+        program's initial one (as decided churn records it): the process
+        re-enters with every declared variable bound, the scrambled values
+        included."""
+        sim = sim_ra()
+        proc = sim.processes["p0"]
+        scrambled = scramble_tme_state(proc, random.Random(1))
+        sim.crash_process(
+            "p0", restart_vars={**proc.program.initial_vars, **scrambled}
+        )
+        proc.restart()
+        assert set(proc.variables) == set(proc.program.initial_vars)
+        assert {name: proc.variables[name] for name in scrambled} == scrambled
 
 
 class TestLinks:

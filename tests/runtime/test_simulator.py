@@ -129,18 +129,6 @@ class TestStepping:
         sim.run(6)
         assert all(e.clock_event for e in sim.trace.events)
 
-    def test_run_until(self):
-        sim = make_sim()
-        reached, steps = sim.run_until(
-            lambda s: s.processes["p0"].variables["got"] == 1, 20
-        )
-        assert reached and steps <= 6
-
-    def test_run_until_gives_up(self):
-        sim = make_sim()
-        reached, steps = sim.run_until(lambda s: False, 5)
-        assert not reached and steps == 5
-
     def test_record_states_off(self):
         sim = make_sim(record_states=False)
         sim.run(4)
