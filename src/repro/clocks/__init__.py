@@ -3,12 +3,8 @@
 from repro.clocks.happened_before import (
     HbViolation,
     RecordedEvent,
-    VectorClock,
     check_timestamp_spec,
-    happened_before,
-    vector_clocks_for,
 )
-from repro.clocks.lamport import LamportClock
 from repro.clocks.timestamps import (
     Timestamp,
     bottom,
@@ -19,15 +15,11 @@ from repro.clocks.timestamps import (
 
 __all__ = [
     "HbViolation",
-    "LamportClock",
     "RecordedEvent",
     "Timestamp",
     "bottom",
-    "VectorClock",
     "check_timestamp_spec",
     "earliest",
-    "happened_before",
     "is_total_order_consistent",
-    "vector_clocks_for",
     "zero",
 ]

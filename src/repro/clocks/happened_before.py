@@ -1,21 +1,29 @@
-"""The happened-before relation ``hb`` [Lamport 1978] over recorded events.
+"""Timestamp Spec over recorded events, judged in one pass.
 
-Timestamp Spec: ``(forall e, f :: e hb f => ts:e < ts:f)``.  The runtime
-records every event (local step, send, receive) with its process, sequence
-number, timestamp, and -- for receives -- the identity of the matching send.
-This module computes ``hb`` as the transitive closure of
+Timestamp Spec: ``(forall e, f :: e hb f => ts:e < ts:f)``, where ``hb``
+[Lamport 1978] is the transitive closure of
 
 1. same-process program order, and
 2. send -> matching receive,
 
-and checks timestamp consistency against it.  Vector clocks are used
-internally as the standard O(n) representation of the causal order (they
-characterize ``hb`` exactly).
+over *every* recorded event.  Only clock events (steps that moved ``lc``)
+carry a timestamp worth judging, but the causal chain runs through the
+others too: the wrapper's ``correct`` action resends REQ without ticking
+its clock, and the receive of that message is still causally after the
+sender's past.
+
+:func:`check_timestamp_spec` carries, for every event ``x`` in recorded
+order, ``past(x)``: the clock event with the greatest timestamp in ``x``'s
+causal past (``x`` itself if it is a clock event and exceeds it).
+``Timestamp.<`` is a strict total order, so a clock event ``f`` has some
+causal predecessor ``p`` with ``not ts:p < ts:f`` iff the maximum of its
+predecessors' pasts is such a ``p``.  That decides the full closure in
+O(events) without building it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.clocks.timestamps import Timestamp
@@ -31,91 +39,11 @@ class RecordedEvent:
 
     uid: int
     pid: str
-    seq: int
     kind: str
     timestamp: Timestamp
     send_uid: int | None = None
     step_index: int | None = None
     clock_event: bool = True
-
-
-@dataclass(frozen=True)
-class VectorClock:
-    """An immutable vector clock over a fixed set of process ids."""
-
-    components: tuple[tuple[str, int], ...]
-
-    @staticmethod
-    def zero(pids: Iterable[str]) -> "VectorClock":
-        """The all-zero clock over a pid set."""
-        return VectorClock(tuple((p, 0) for p in sorted(pids)))
-
-    def as_dict(self) -> dict[str, int]:
-        """Components as a plain dict."""
-        return dict(self.components)
-
-    def incremented(self, pid: str) -> "VectorClock":
-        """Advance one component (a local event at ``pid``)."""
-        d = self.as_dict()
-        if pid not in d:
-            raise KeyError(pid)
-        d[pid] += 1
-        return VectorClock(tuple(sorted(d.items())))
-
-    def merged(self, other: "VectorClock") -> "VectorClock":
-        """Componentwise maximum (message receipt)."""
-        a, b = self.as_dict(), other.as_dict()
-        if set(a) != set(b):
-            raise ValueError("vector clocks over different pid sets")
-        return VectorClock(tuple(sorted((p, max(a[p], b[p])) for p in a)))
-
-    def dominates(self, other: "VectorClock") -> bool:
-        """``other <= self`` componentwise (reflexive)."""
-        a, b = self.as_dict(), other.as_dict()
-        return all(b[p] <= a[p] for p in a)
-
-    def strictly_after(self, other: "VectorClock") -> bool:
-        """Causally later: dominates and differs."""
-        return self.dominates(other) and self.components != other.components
-
-
-def vector_clocks_for(
-    events: Sequence[RecordedEvent], pids: Iterable[str]
-) -> dict[int, VectorClock]:
-    """Assign each event its vector clock (events must be listed in an order
-    consistent with causality -- the runtime's global recording order is).
-
-    Receives whose matching send is missing from ``events`` (a corrupted or
-    fault-forged message) are treated as fresh local events: a forged message
-    carries no causal history.
-    """
-    by_uid: dict[int, VectorClock] = {}
-    latest: dict[str, VectorClock] = {p: VectorClock.zero(pids) for p in pids}
-    for ev in events:
-        base = latest[ev.pid]
-        if ev.send_uid is not None and ev.send_uid in by_uid:
-            base = base.merged(by_uid[ev.send_uid])
-        vc = base.incremented(ev.pid)
-        by_uid[ev.uid] = vc
-        latest[ev.pid] = vc
-    return by_uid
-
-
-def happened_before(
-    events: Sequence[RecordedEvent], pids: Iterable[str]
-) -> set[tuple[int, int]]:
-    """The full ``hb`` relation as a set of (uid, uid) pairs.
-
-    Quadratic in the number of events; intended for verification on bounded
-    traces, not for production paths.
-    """
-    vcs = vector_clocks_for(events, pids)
-    pairs: set[tuple[int, int]] = set()
-    for e in events:
-        for f in events:
-            if e.uid != f.uid and vcs[f.uid].strictly_after(vcs[e.uid]):
-                pairs.add((e.uid, f.uid))
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -134,15 +62,28 @@ class HbViolation:
         )
 
 
-def check_timestamp_spec(
-    events: Sequence[RecordedEvent], pids: Iterable[str]
-) -> list[HbViolation]:
-    """All Timestamp Spec violations: pairs ``e hb f`` with
-    ``not (ts:e < ts:f)``.  Empty list == spec satisfied on this trace."""
-    by_uid = {e.uid: e for e in events}
+def check_timestamp_spec(events: Sequence[RecordedEvent]) -> list[HbViolation]:
+    """One violation per clock event whose timestamp does not exceed every
+    clock event in its causal past; the witness ``earlier`` is the
+    greatest of them.  Empty list == spec satisfied on this trace.
+
+    ``events`` must be in an order consistent with causality (the
+    runtime's recording order is).  A receive whose send is not listed
+    earlier (forged by a fault, or cut off by the window) inherits no
+    causal history from it.
+    """
+    past: dict[int, RecordedEvent | None] = {}
+    last: dict[str, RecordedEvent | None] = {}
     violations = []
-    for a, b in happened_before(events, pids):
-        e, f = by_uid[a], by_uid[b]
-        if not e.timestamp < f.timestamp:
-            violations.append(HbViolation(e, f))
+    for ev in events:
+        top = last.get(ev.pid)
+        sent = past.get(ev.send_uid)
+        if sent is not None and (top is None or top.timestamp < sent.timestamp):
+            top = sent
+        if ev.clock_event:
+            if top is None or top.timestamp < ev.timestamp:
+                top = ev
+            else:
+                violations.append(HbViolation(top, ev))
+        past[ev.uid] = last[ev.pid] = top
     return violations

@@ -95,7 +95,6 @@ class ProcessRuntime:
         self.variables: dict[str, Any] = dict(program.initial_vars)
         if overrides:
             self.variables.update(overrides)
-        self.event_seq = 0
         self.steps_taken = 0
         self._snapshot_keys: tuple[str, ...] | None = None
         self._enabled_memo: _EnabledMemo | None = None
@@ -279,7 +278,6 @@ class ProcessRuntime:
         clone.program = self.program
         clone.peers = self.peers
         clone.variables = dict(self.variables)
-        clone.event_seq = self.event_seq
         clone.steps_taken = self.steps_taken
         clone._snapshot_keys = self._snapshot_keys
         clone._enabled_memo = self._enabled_memo
@@ -307,11 +305,6 @@ class ProcessRuntime:
             # digest derived from them) are unchanged for crash-free runs.
             return (("__status__", self.status), *pairs)
         return pairs
-
-    def next_event_seq(self) -> int:
-        """Allocate the next per-process event sequence number."""
-        self.event_seq += 1
-        return self.event_seq
 
     def __repr__(self) -> str:
         return f"ProcessRuntime({self.pid}, program={self.program.name})"

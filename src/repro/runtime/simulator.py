@@ -154,7 +154,6 @@ class Simulator:
         event = RecordedEvent(
             uid=self._fresh_event_uid(),
             pid=pid,
-            seq=proc.next_event_seq(),
             kind=label,
             timestamp=Timestamp(clock, pid),
             send_uid=send_uid,

@@ -401,18 +401,17 @@ class LspecChecker:
 
     def check_timestamp(self) -> ClauseReport:
         """Timestamp Spec: totally ordered domain (by construction of
-        :class:`Timestamp`), and ``e hb f => ts:e < ts:f`` over the events
-        of the checked window."""
+        :class:`Timestamp`), and ``e hb f => ts:e < ts:f`` over the clock
+        events of the checked window, with ``hb`` running through every
+        window event."""
         rep = ClauseReport("timestamp")
         window_events = [
             e
             for e in self.trace.events
-            if e.clock_event
-            and e.step_index is not None
-            and e.step_index >= self.start
+            if e.step_index is not None and e.step_index >= self.start
         ]
-        rep.checked = len(window_events)
-        for violation in check_timestamp_spec(window_events, self.pids):
+        rep.checked = sum(e.clock_event for e in window_events)
+        for violation in check_timestamp_spec(window_events):
             rep.violations.append(
                 Violation(
                     "timestamp",

@@ -132,8 +132,3 @@ class TestSnapshot:
         snap = make_proc().snapshot()
         assert snap == (("log", ()), ("x", 0))
         hash(snap)
-
-    def test_event_seq_monotone(self):
-        proc = make_proc()
-        assert proc.next_event_seq() == 1
-        assert proc.next_event_seq() == 2

@@ -234,6 +234,53 @@ class TestNegativeControls:
         assert "cs_entry" in report.failing_clauses()
 
 
+class TestTimestampThroughWrapper:
+    def test_receive_of_wrapper_resend_is_judged(self):
+        """W's ``correct`` resends REQ without ticking ``lc``, so its send
+        is no clock event; the receive is still causally after the
+        sender's clock.  Lower one such receive's timestamp below the
+        sender's latest clock event where no clock-only chain reaches it
+        (a judge that drops non-clock events first is blind there): the
+        Timestamp clause must name exactly that receive."""
+        from dataclasses import replace
+
+        from repro.clocks import check_timestamp_spec
+        from repro.tme import WrapperConfig
+
+        sim = build_simulation(
+            "ra", n=3, seed=1, wrapper=WrapperConfig(theta=0)
+        )
+        trace = sim.run(300)
+        assert not check_lspec(trace, programs_of(sim)).clauses[
+            "timestamp"
+        ].violations
+        events = list(trace.events)
+        at = {e.uid: i for i, e in enumerate(events)}
+        for i, recv in enumerate(events):
+            send = events[at[recv.send_uid]] if recv.send_uid in at else None
+            if not (recv.clock_event and send and send.kind == "W:correct"):
+                continue
+            latest = next(
+                e
+                for e in reversed(events[: at[send.uid]])
+                if e.pid == send.pid and e.clock_event
+            )
+            clock = latest.timestamp.clock - (recv.pid > send.pid)
+            mutated = events[:i] + [
+                replace(recv, timestamp=Timestamp(clock, recv.pid))
+            ] + events[i + 1 :]
+            if not check_timestamp_spec([e for e in mutated if e.clock_event]):
+                break
+        else:
+            pytest.fail("no receive of a W:correct send outside clock chains")
+        trace.events[:] = mutated
+        report = check_lspec(trace, programs_of(sim))
+        assert [
+            (v.pid, v.index) for v in report.clauses["timestamp"].violations
+        ] == [(recv.pid, recv.step_index)]
+        assert report.total_violations() == 1
+
+
 class TestWindowing:
     def test_start_skips_corrupted_prefix(self):
         """A run with a fault at step 0 judged from start=1 is clean."""
