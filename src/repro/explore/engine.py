@@ -381,10 +381,6 @@ class _PhaseClock:
         )
 
 
-def _no_hint(_node: Any) -> None:
-    return None
-
-
 class NodeKeys:
     """How one space's nodes become dedup keys.
 
@@ -394,9 +390,10 @@ class NodeKeys:
     rewritten)``.  The dedup key is
 
     * the canonical orbit representative's packed blob when the space
-      publishes ``packed_canon`` (the node's ``tokens_of`` goes to the
-      canonicalizer); ``rewritten`` then says whether the
-      representative differs from the node's own key;
+      publishes ``packed_canon``: the canonicalizer gets the node's
+      ``tokens_of`` and no key when the space has that hook, the key
+      otherwise; ``rewritten`` then says whether the representative
+      differs from the node's own key;
     * the node's own token stream, packed, for an exact space with
       ``tokens_of``, when ``codec`` -- the interned visited store's --
       can ``pack`` one;
@@ -421,10 +418,14 @@ class NodeKeys:
         if packed is not None:
             canonicalize = packed.canonicalize
             if tokens_of is None:
-                tokens_of = _no_hint
 
-            def of(node: Any):
-                return canonicalize(key_of(node), tokens_of(node))
+                def of(node: Any):
+                    return canonicalize(key_of(node))
+
+            else:  # the tokens alone: no snapshot per examined child
+
+                def of(node: Any):
+                    return canonicalize(None, tokens_of(node))
 
             self.decode = packed.decode
         elif tokens_of is not None and pack is not None:

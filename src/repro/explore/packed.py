@@ -212,21 +212,27 @@ class PackedGlobalCanonicalizer:
 
     # -- geometry ---------------------------------------------------------
 
-    def _init_layout(self, state: GlobalState) -> None:
-        """Fix the slot geometry from the first snapshot.
+    def _init_layout(self, tokens: list[int]) -> None:
+        """Fix the slot geometry from the first token stream.
 
         The pid set and the channel-key set of a space never change, and
         both are closed under the group (renamed states are states of
         the same system), so a candidate's sorted pid / channel-key
         skeleton equals the original's -- candidates differ only in
-        which subtree sits in which slot.
+        which subtree sits in which slot.  Only the interned pid strings
+        are read: no snapshot is decoded.
         """
-        pids = tuple(pid for pid, _ in state.processes)
+        string = self.codec.strings.value
+        base = 2 * tokens[0] + 2  # channel 0's src_sid
+        pids = tuple(map(string, tokens[1 : base - 1 : 2]))
         if pids != self._pids:
             raise ValueError(
                 f"snapshot pids {pids} != space pids {self._pids}"
             )
-        chan_keys = [key for key, _ in state.channels]
+        chan_keys = [
+            (string(tokens[at]), string(tokens[at + 1]))
+            for at in range(base, len(tokens), 3)
+        ]
         self._nproc = len(pids)
         slot_of = {name: slot for slot, name in enumerate((*pids, *chan_keys))}
         for mapping in (*self.mappings, {}):
@@ -287,14 +293,15 @@ class PackedGlobalCanonicalizer:
     # -- canonicalization --------------------------------------------------
 
     def canonicalize(
-        self, state: GlobalState, tokens: list[int] | None = None
+        self, state: GlobalState | None, tokens: list[int] | None = None
     ) -> tuple[bytes, bool]:
         """The canonical representative's packed blob, plus whether it
         differs from ``state``.
 
         ``tokens`` is ``state``'s token stream under *this* codec when
         the caller already has it (the space's ``tokens_of``); it is
-        read, never modified.
+        read, never modified, and ``state`` is then not read at all (the
+        engine passes ``None``).
         """
         if tokens is None:
             tokens = self.codec.encode_tokens(state)
@@ -305,7 +312,7 @@ class PackedGlobalCanonicalizer:
             return cached
         self.stats.misses += 1
         if not self._skeleton:
-            self._init_layout(state)
+            self._init_layout(tokens)
         self._check_layout(tokens)
         base = 2 * self._nproc + 2
         oids = tokens[2:base:2] + tokens[base + 2 :: 3]

@@ -8,9 +8,9 @@ function.  Three concrete spaces cover the repository's searches:
   refinement/stabilization relations and the theorem checks);
 * :class:`GlobalSimulatorSpace` -- the *global* product space of a
   simulated system (the whitebox verification surface of Section 1),
-  expanded as a function of the snapshot: each process's moves are
+  whose nodes are packed token streams: each process's moves are
   computed once per local valuation and successors are built by patching
-  the parent snapshot, with the real
+  the parent's stream, with the real
   :class:`~repro.runtime.simulator.Simulator` kept as the reference;
 * :class:`LocalProcessSpace` -- the *local* space of one
   :class:`~repro.runtime.process.ProcessRuntime` under a bounded message
@@ -37,15 +37,14 @@ admits through:
   :class:`~repro.explore.packed.CachedCanonicalizer`;
   :class:`TransitionSystemSpace` deliberately never defines one, so the
   relation/theorem checks stay exact.
-* ``tokens_of(node)`` -- what the node already knows about its key: its
-  packed token stream under ``codec``, so neither the canonicalizer nor
-  the store has to re-derive it from the key (without ``packed_canon``,
-  ``tokens_of`` is used only where ``codec`` can ``pack`` a stream into
-  the interned store).
-* ``node_of_key(key)`` -- a space whose nodes are more than their keys
-  rebuilds a node from a key, so a checkpoint resume
-  (:mod:`repro.explore.shard`) can re-seed the frontier from the
-  journalled members; without it the nodes are taken to be the keys.
+* ``tokens_of(node)`` -- the node's packed token stream under
+  ``codec``: the canonicalizer and the store take it in place of the key,
+  which is then never asked for (a :class:`GlobalSimulatorSpace` node
+  *is* its stream and decodes its key only on demand).
+* ``node_of_key(key)`` -- a space whose nodes are not their keys builds
+  a node from a key: the roots, and the journalled members a checkpoint
+  resume (:mod:`repro.explore.shard`) re-seeds the frontier from;
+  without it the nodes are taken to be the keys.
 """
 
 from __future__ import annotations
@@ -117,64 +116,69 @@ class TransitionSystemSpace:
 
 
 class _GlobalNode:
-    """A snapshot and its packed tokens.
+    """A global state as its packed token stream: ``tokens`` is
+    ``codec.encode_tokens`` of it under the *owning space's* codec
+    (interner ids mean nothing to another codec).  The snapshot is
+    decoded only when asked for (:attr:`state`, the space's ``key``)."""
 
-    ``tokens`` is ``codec.encode_tokens(state)`` for the *owning space's*
-    codec, derived from the parent's stream by re-interning only the
-    touched components.  Interner ids mean nothing to another codec, so
-    the stream lives here and never on the :class:`GlobalState`.
-    """
+    __slots__ = ("tokens", "space")
 
-    __slots__ = ("state", "tokens")
-
-    def __init__(self, state: "GlobalState", tokens: list[int]):
-        self.state = state
+    def __init__(self, tokens: list[int], space: "GlobalSimulatorSpace"):
         self.tokens = tokens
+        self.space = space
+
+    @property
+    def state(self) -> "GlobalState":
+        return self.space.key(self)
 
 
 #: What one step does to the acting process and the channels, as a pure
 #: function of the acting process's valuation (and the delivered message):
-#: ``(new (pid, vars) entry | None, its vars_oid, ((channel index, (kind,
-#: payload)), ...) sends in order, touched channel keys)``.  ``None`` for
-#: the entry means the process is unchanged (an unhandled or rejected
-#: message is consumed).
-_Move = tuple[Any, int, tuple, tuple]
+#: ``(new vars_oid, ((content token position, message id), ...))``, the
+#: sends grouped per channel in first-send order.  An unhandled or
+#: rejected message is consumed and leaves the receiver's vars_oid as is.
+_Move = tuple[int, tuple[tuple[int, int], ...]]
 
 
 class GlobalSimulatorSpace:
     """The global state space of a simulated system (whitebox surface).
 
-    Nodes carry a :class:`~repro.runtime.trace.GlobalState` snapshot (the
-    dedup key) and no simulator.  Snapshots erase message metadata (uids,
-    piggybacked sender clocks), so the successor function has to be a
-    function of the *snapshot* for the explored graph to be well defined
-    on snapshot states -- and :meth:`successors` is computed as one: what
-    a process can do depends only on its own valuation (and, for a
-    delivery, on the sender and the head message), so each distinct
-    ``(pid, vars)`` is evaluated once per space and every later global
-    state containing it replays the memoised moves by replacing one entry
-    of the parent's ``processes`` tuple and popping/appending ``(kind,
-    payload)`` pairs in the touched ``channels`` entries.  The memo holds
-    at most the *sum* of the local state spaces while the visited set
-    grows with their product -- Section 1's asymmetry, read off
-    :attr:`local_evaluations`.
+    A node is its packed token stream (:class:`_GlobalNode`): one
+    ``vars_oid`` per process and one ``content_oid`` per channel, ids of
+    the codec's interner, and no simulator and no snapshot.  Snapshots
+    erase message metadata (uids, piggybacked sender clocks), so the
+    successor function has to be a function of the *snapshot* for the
+    explored graph to be well defined on snapshot states -- and
+    :meth:`successors` is computed as one, on ints: what a process can do
+    depends only on its own valuation (and, for a delivery, on the sender
+    and the head message), so each distinct ``(slot, vars_oid)`` is
+    evaluated once per space, and every later global state containing it
+    replays the memoised moves by copying the parent's stream and
+    replacing the touched ids.  A delivery pops its channel through a
+    ``(channel, receiver vars_oid, content_oid)`` memo, a send appends
+    through a ``(content_oid, message id)`` memo; values are decoded and
+    interned only on a miss.  The memos hold at most the *sum* of the
+    local state spaces while the visited set grows with their product --
+    Section 1's asymmetry, read off :attr:`local_evaluations`.
 
-    The memo compares valuations with the same ``==`` the visited store's
-    interner deduplicates them with, so it conflates nothing the visited
-    set does not.  :meth:`restore` and :meth:`successors_of_key` run the
-    real :class:`~repro.runtime.simulator.Simulator` from a snapshot and
-    are the reference the memoised function is tested against.
+    Every memo is keyed by interner ids, i.e. by the same ``==`` the
+    visited store deduplicates with, so it conflates nothing the visited
+    set does not; a decoded snapshot (:meth:`key`) is the interner's
+    first-seen member of each ``==`` class.  :meth:`restore` and
+    :meth:`successors_of_key` run the real
+    :class:`~repro.runtime.simulator.Simulator` from a snapshot and are
+    the reference the memoised function is tested against.
 
     ``symmetry`` opts the space into process-permutation reduction:
     ``"full"`` (or ``True``) quotients under every pid permutation --
     sound for the pid-template TME systems (RA, RA-count, Lamport, the
     wrapper) -- while ``"ring"`` quotients under rotations only (the
     token ring's ``nxt`` topology is not invariant under arbitrary
-    permutations).  When enabled, :attr:`packed_canon` maps a snapshot
-    to its least orbit member and the engine deduplicates in quotient
-    space; the frontier still carries the first-seen (genuinely
-    reachable) member of each orbit, so expansion never runs from a
-    merely-renamed state.
+    permutations).  When enabled, :attr:`packed_canon` maps a token
+    stream to its least orbit member's blob and the engine deduplicates
+    in quotient space; the frontier still carries the first-seen
+    (genuinely reachable) member of each orbit, so expansion never runs
+    from a merely-renamed state.
     """
 
     def __init__(
@@ -184,7 +188,7 @@ class GlobalSimulatorSpace:
     ):
         from repro.explore.canon import full_symmetry, ring_rotations
         from repro.explore.packed import PackedGlobalCanonicalizer
-        from repro.explore.store import GlobalStateCodec
+        from repro.explore.store import GlobalStateCodec, Interner
 
         self.programs = dict(programs)
         #: packs snapshots into interned blobs for the visited store.
@@ -207,25 +211,39 @@ class GlobalSimulatorSpace:
                 self.codec, pids, self.symmetry_group
             )
         # Every snapshot of the space has the simulator's layout: sorted
-        # pids, then the complete channel graph in Network order.
+        # pids, then the complete channel graph in Network order, so a
+        # process's vars_oid sits at token 2 + 2 * slot and channel i's
+        # content_oid at 2 * P + 4 + 3 * i (see ``encode_tokens``).
         self._pids = pids
-        self._slot = {pid: slot for slot, pid in enumerate(pids)}
-        self._chan_index = {
-            key: index
-            for index, key in enumerate(
-                (a, b) for a in pids for b in pids if a != b
-            )
+        chans = [(a, b) for a in pids for b in pids if a != b]
+        self._chans = chans
+        #: channel (src, dst) -> token position of its content_oid
+        self._content_at = {
+            key: 2 * len(pids) + 4 + 3 * index
+            for index, key in enumerate(chans)
         }
-        #: token index of channel 0's content_oid (see ``encode_tokens``)
-        self._content_base = 2 * len(pids) + 4
-        # The memos.  A valuation is named by its ``vars_oid``: the id
-        # the codec's interner gave the vars tuple, i.e. the tuple up to
-        # the ``==`` the visited store itself deduplicates with.
+        #: per channel: (content position, receiver's vars position)
+        self._chan_at = [
+            (self._content_at[key], 2 + 2 * pids.index(key[1]))
+            for key in chans
+        ]
+        #: content_oid of the empty channel (set by the first node)
+        self._empty: int | None = None
+        # The memos, keyed by interner ids: a valuation by its vars_oid,
+        # a channel's content by its content_oid.
+        #: appended message groups -> message id (space-local, so the
+        #: codec's ids and blobs do not depend on it)
+        self._messages = Interner()
         #: (process slot, vars_oid) -> moves of the enabled internal actions
         self._internal: dict[tuple[int, int], tuple[_Move, ...]] = {}
         #: (channel index, receiver's vars_oid, head (kind, payload)) ->
         #: the delivery's move; the channel names sender and receiver
         self._deliver: dict[tuple[int, int, tuple], _Move] = {}
+        #: (channel index, receiver's vars_oid, content_oid) -> (the
+        #: delivery's move, the content_oid left after the pop)
+        self._pop: dict[tuple[int, int, int], tuple[_Move, int]] = {}
+        #: (content_oid, message id) -> content_oid after the append
+        self._push: dict[tuple[int, int], int] = {}
 
     @property
     def local_evaluations(self) -> tuple[int, int]:
@@ -244,97 +262,81 @@ class GlobalSimulatorSpace:
         )
         yield self.node_of_key(sim.snapshot())
 
-    def _runtime(self, entry: tuple) -> "ProcessRuntime":
-        """A process at the valuation of one ``processes`` entry."""
+    def _runtime(self, slot: int, vars_oid: int) -> "ProcessRuntime":
+        """Process ``slot`` at the valuation ``vars_oid`` names."""
         from repro.runtime.process import ProcessRuntime
 
-        pid, variables = entry
+        pid = self._pids[slot]
         return ProcessRuntime(
-            pid, self.programs[pid], self._pids, overrides=dict(variables)
+            pid,
+            self.programs[pid],
+            self._pids,
+            overrides=dict(self.codec.others.value(vars_oid)),
         )
 
     def _move(
-        self,
-        proc: "ProcessRuntime",
-        effect: "Effect | None",
-        delivered: tuple[str, str] | None,
+        self, proc: "ProcessRuntime", vars_oid: int, effect: "Effect | None"
     ) -> _Move:
-        """The memo entry for ``effect`` executed at ``proc`` (after
-        taking a message off channel ``delivered``, if any)."""
-        pid = proc.pid
-        touched = [] if delivered is None else [delivered]
+        """The memo entry for ``effect`` executed at ``proc``, whose
+        valuation is ``vars_oid``."""
         if effect is None:
-            # Unhandled or rejected message: consumed, receiver untouched.
-            return None, 0, (), tuple(touched)
+            return vars_oid, ()
         branch = proc.fork()
         branch._apply(effect)
-        sends = []
+        groups: dict[int, tuple] = {}
         for send in effect.sends:
-            key = (pid, send.receiver)
-            if key not in touched:
-                touched.append(key)
-            sends.append((self._chan_index[key], (send.kind, send.payload)))
-        variables = branch.snapshot()
+            at = self._content_at[proc.pid, send.receiver]
+            groups[at] = groups.get(at, ()) + ((send.kind, send.payload),)
+        message = self._messages.intern
         return (
-            (pid, variables),
-            self.codec.others.intern(variables),
-            tuple(sends),
-            tuple(touched),
+            self.codec.others.intern(branch.snapshot()),
+            tuple((at, message(group)) for at, group in groups.items()),
         )
 
-    def _internal_moves(self, entry: tuple) -> tuple[_Move, ...]:
-        proc = self._runtime(entry)
+    def _internal_moves(self, slot: int, vars_oid: int) -> tuple[_Move, ...]:
+        proc = self._runtime(slot, vars_oid)
         # One view serves every action: guards and bodies are pure.
         view = proc.view()
         return tuple(
-            self._move(proc, act.body(view), None)
+            self._move(proc, vars_oid, act.body(view))
             for act in proc.program.actions
             if act.enabled(view)
         )
 
-    def _deliver_move(self, entry: tuple, src: str, head: tuple) -> _Move:
-        kind, payload = head
-        proc = self._runtime(entry)
-        handler = proc.program.receive_action_for(kind)
-        effect = None
-        if handler is not None:
-            # Metadata-free, as the snapshot carries the message.
-            view = proc.view(
-                {"_msg": payload, "_sender": src, "_msg_clock": None}
-            )
-            if handler.enabled(view):
-                effect = handler.body(view)
-        return self._move(proc, effect, (src, proc.pid))
+    def _pop_move(
+        self, index: int, vars_oid: int, content_oid: int
+    ) -> tuple[_Move, int]:
+        """A ``_pop`` miss: the head-keyed delivery move (evaluated only
+        for a head the receiver has not been handed on this channel) and
+        the channel's rest."""
+        others = self.codec.others
+        content = others.value(content_oid)
+        head = content[0]
+        key = (index, vars_oid, head)
+        move = self._deliver.get(key)
+        if move is None:
+            src, dst = self._chans[index]
+            proc = self._runtime(self._pids.index(dst), vars_oid)
+            kind, payload = head
+            handler = proc.program.receive_action_for(kind)
+            effect = None
+            if handler is not None:
+                # Metadata-free, as the snapshot carries the message.
+                view = proc.view(
+                    {"_msg": payload, "_sender": src, "_msg_clock": None}
+                )
+                if handler.enabled(view):
+                    effect = handler.body(view)
+            move = self._deliver[key] = self._move(proc, vars_oid, effect)
+        return move, others.intern(content[1:])
 
-    def _child(
-        self, node: _GlobalNode, slot: int, move: _Move, popped: int | None
-    ) -> _GlobalNode:
-        """``node`` after ``move`` at process ``slot``, the head of
-        channel ``popped`` consumed: everything untouched is shared."""
-        entry, vars_oid, sends, touched = move
-        state = node.state
-        tokens = node.tokens[:]
-        processes = state.processes
-        if entry is not None:
-            processes = processes[:slot] + (entry,) + processes[slot + 1 :]
-            tokens[2 + 2 * slot] = vars_oid
-        channels = state.channels
-        if touched:
-            channels = list(channels)
-            if popped is not None:
-                key, content = channels[popped]
-                channels[popped] = (key, content[1:])
-            for index, message in sends:
-                key, content = channels[index]
-                channels[index] = (key, content + (message,))
-            intern = self.codec.others.intern
-            chan_index = self._chan_index
-            base = self._content_base
-            for key in touched:
-                index = chan_index[key]
-                tokens[base + 3 * index] = intern(channels[index][1])
-            channels = tuple(channels)
-        return _GlobalNode(GlobalState(processes, channels), tokens)
+    def _pushed(self, content_oid: int, message: int) -> int:
+        """A ``_push`` miss: the content with message group appended."""
+        others = self.codec.others
+        pushed = self._push[content_oid, message] = others.intern(
+            others.value(content_oid) + self._messages.value(message)
+        )
+        return pushed
 
     def successors(self, node: _GlobalNode) -> Iterator[_GlobalNode]:
         """Expand in the simulator's candidate order: one deliver step per
@@ -343,48 +345,68 @@ class GlobalSimulatorSpace:
         order).  The order decides where ``max_states`` truncates and in
         which order ``on_visit`` sees states.
 
-        Each candidate is a memo lookup plus a patch of the parent's
-        snapshot and token stream; guards and bodies run only for a
-        local valuation (or a delivery to one) the space has not seen.
+        Each candidate is a copy of the parent's token stream with the
+        touched ids replaced through the memos; guards and bodies run
+        only for a local valuation (or a delivery to one) the space has
+        not seen, and no snapshot is built.
         """
-        processes = node.state.processes
         tokens = node.tokens
-        slot_of = self._slot
-        deliver = self._deliver
-        for index, ((src, dst), content) in enumerate(node.state.channels):
-            if not content:
+        empty = self._empty
+        pops, pushes = self._pop, self._push
+        for index, (at, vars_at) in enumerate(self._chan_at):
+            content = tokens[at]
+            if content == empty:
                 continue
-            slot = slot_of[dst]
-            key = (index, tokens[2 + 2 * slot], content[0])
-            move = deliver.get(key)
-            if move is None:
-                move = deliver[key] = self._deliver_move(
-                    processes[slot], src, content[0]
-                )
-            yield self._child(node, slot, move, index)
+            key = (index, tokens[vars_at], content)
+            hit = pops.get(key)
+            if hit is None:
+                hit = pops[key] = self._pop_move(*key)
+            (vars_oid, sends), rest = hit
+            child = tokens[:]
+            child[at] = rest
+            child[vars_at] = vars_oid
+            for send_at, message in sends:
+                pushed = pushes.get((child[send_at], message))
+                if pushed is None:
+                    pushed = self._pushed(child[send_at], message)
+                child[send_at] = pushed
+            yield _GlobalNode(child, self)
         internal = self._internal
-        for slot, entry in enumerate(processes):
-            key = (slot, tokens[2 + 2 * slot])
+        for slot in range(len(self._pids)):
+            vars_at = 2 + 2 * slot
+            key = (slot, tokens[vars_at])
             moves = internal.get(key)
             if moves is None:
-                moves = internal[key] = self._internal_moves(entry)
-            for move in moves:
-                yield self._child(node, slot, move, None)
+                moves = internal[key] = self._internal_moves(*key)
+            for vars_oid, sends in moves:
+                child = tokens[:]
+                child[vars_at] = vars_oid
+                for send_at, message in sends:
+                    pushed = pushes.get((child[send_at], message))
+                    if pushed is None:
+                        pushed = self._pushed(child[send_at], message)
+                    child[send_at] = pushed
+                yield _GlobalNode(child, self)
 
     def key(self, node: _GlobalNode) -> "GlobalState":
-        return node.state
+        """The node's snapshot, decoded from the codec's interner."""
+        return self.codec.decode(self.codec.pack(node.tokens))
 
     def tokens_of(self, node: _GlobalNode) -> list[int]:
         """``codec.encode_tokens(key(node))`` without the encoding: the
-        stream the node already carries (this space's codec only)."""
+        stream the node is (this space's codec only)."""
         return node.tokens
 
     def node_of_key(self, state: "GlobalState") -> _GlobalNode:
         """A node positioned at ``state``, expandable with
-        :meth:`successors` (a checkpoint resume expands journalled
-        members).
+        :meth:`successors` (the roots, and a checkpoint resume's
+        journalled members).
         ``encode_tokens`` rejects a partitioned snapshot."""
-        return _GlobalNode(state, self.codec.encode_tokens(state))
+        tokens = self.codec.encode_tokens(state)
+        if self._empty is None:
+            # After the first encode, so the codec's ids stay as they were.
+            self._empty = self.codec.others.intern(())
+        return _GlobalNode(tokens, self)
 
     # -- the Simulator-backed reference ------------------------------------
 

@@ -154,6 +154,33 @@ class TestGlobalSimulatorSpace:
         explore(space, max_depth=8)  # nothing new to evaluate
         assert space.local_evaluations == (internal, deliver)
 
+    def test_explore_exact_model_pins(self):
+        # The benchmark's exact model: what expansion evaluated and what
+        # it found.
+        space = GlobalSimulatorSpace(_wrapped(4))
+        found = explore(space, max_depth=10)
+        assert space.local_evaluations == (595, 1131)
+        assert (found.states, found.stats.transitions) == (17_409, 43_911)
+
+    @pytest.mark.parametrize("symmetry", [None, "full"])
+    def test_exploration_decodes_no_snapshot_per_node(
+        self, monkeypatch, symmetry
+    ):
+        # Nodes are token streams: without ``on_visit`` the engine, the
+        # store and the canonicalizer read only tokens, so a snapshot is
+        # decoded at most once (not once per examined child).
+        space = GlobalSimulatorSpace(small_programs(3), symmetry=symmetry)
+        decode, decoded = space.key, []
+
+        def counting(node):
+            decoded.append(node)
+            return decode(node)
+
+        monkeypatch.setattr(space, "key", counting)
+        found = explore(space, max_depth=6)
+        assert found.stats.transitions > 50
+        assert len(decoded) <= 1
+
     def test_partitioned_snapshot_is_rejected(self):
         space = GlobalSimulatorSpace(small_programs())
         (root,) = list(space.roots())
@@ -222,7 +249,10 @@ class TestMemoisedExpansionAgainstSimulator:
     truncates and in which order ``on_visit`` sees states.  Mutations
     this must catch (each checked by hand to fail here): a delivery memo
     keyed without the channel (sender) or without the head message's
-    payload, and an internal memo keyed by the process alone.
+    payload, an internal memo keyed by the process alone, the delivery
+    memo keyed by the channel in place of the content oid (so the pop
+    leaves a stale rest), the push memo keyed without the message, and
+    the delivery memo keyed without the receiver's vars_oid.
     """
 
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))

@@ -281,6 +281,96 @@ class TestTimestampThroughWrapper:
         assert report.total_violations() == 1
 
 
+def _stale_thinking_req(build):
+    """``build`` (``ra_program``'s signature) with every receive that
+    starts thinking keeping the pre-step ``req``: the clock moves, REQ
+    does not (violates CS Release Spec on steps that stay thinking)."""
+    from repro.dsl import ProcessProgram
+
+    def keep_req(body):
+        def stale(view):
+            effect = body(view)
+            if view.phase != "t":
+                return effect
+            return Effect({**effect.updates, "req": view.req}, effect.sends)
+
+        return stale
+
+    def program(pid, all_pids, client):
+        good = build(pid, all_pids, client)
+        receives = tuple(
+            GuardedAction(a.name, a.guard, keep_req(a.body), a.message_kind)
+            for a in good.receive_actions
+        )
+        return ProcessProgram(
+            good.name, good.initial_vars, good.actions, receives
+        )
+
+    return program
+
+
+class TestCsReleaseOnClockOnlySteps:
+    """CS Release is judged on every *event* that ends thinking, a step
+    that changes only the clock included -- not just on phase changes.
+    Mutants of ``judge_step``'s guard this must catch (each checked by
+    hand to fail here): ``or`` -> ``and`` between the clock and phase
+    tests, ``lc_after >= 0`` -> ``> 0``, and the ``isinstance(lc_after,
+    int)`` test dropped."""
+
+    @pytest.fixture
+    def stale_ra(self, monkeypatch):
+        from repro.tme import ricart_agrawala
+
+        monkeypatch.setattr(
+            ricart_agrawala,
+            "ra_program",
+            _stale_thinking_req(ricart_agrawala.ra_program),
+        )
+
+    def test_check_lspec_flags_a_thinking_receive(self, stale_ra):
+        programs = ra_programs(("p0", "p1"), ClientConfig(0, 0))
+        trace = Simulator(programs, RoundRobinScheduler()).run(300)
+        report = check_lspec(trace, programs)
+        violations = report.clauses["cs_release"].violations
+        assert violations
+        for violation in violations:
+            assert "thinking with REQ=" in str(violation)
+
+    def test_e8b_flags_a_thinking_receive(self, stale_ra):
+        from repro.verification import exhaustive_lspec_check
+
+        result = exhaustive_lspec_check("ra", max_clock=2)
+        assert result.violation_counts.get("cs_release", 0) > 0
+        assert set(result.violation_counts) == {"cs_release"}
+        for witness in result.violations:
+            assert witness.move.startswith("ra:recv-")
+            assert dict(witness.valuation)["phase"] == "t"
+
+    @staticmethod
+    def release(before, pre_lc, post_lc, post_req):
+        """``judge_step``'s verdicts on one step of p0 that ends thinking."""
+        from repro.tme.interfaces import LspecView
+        from repro.tme.lspec import judge_step
+
+        view = LspecView(
+            phase="t", lc=0, req=post_req, req_of={}, received={}
+        )
+        pre = {"phase": before, "lc": pre_lc, "req": Timestamp(0, "p0")}
+        post = {"phase": "t", "lc": post_lc, "req": post_req}
+        return dict(judge_step("p0", pre, post, view, view, ("p1",)))
+
+    def test_clock_zero_is_a_valid_stamp(self):
+        verdicts = self.release("e", 0, 0, Timestamp(0, "p0"))
+        assert "cs_release" in verdicts
+        assert verdicts["cs_release"] is None
+
+    def test_a_corrupted_clock_has_no_stamp(self):
+        verdicts = self.release("t", 3, None, Timestamp(3, "p0"))
+        assert verdicts["cs_release"] == (
+            "thinking with REQ=ts(3,p0), ts:j=None"
+        )
+
+
 class TestWindowing:
     def test_start_skips_corrupted_prefix(self):
         """A run with a fault at step 0 judged from start=1 is clean."""
