@@ -74,13 +74,13 @@ def main() -> None:
         print(f"  {src} -> {dst}")
 
     composed = box(spec, result.wrapper)
-    verdict = is_stabilizing_to_fair(composed, spec, result.recovery_edges)
+    verdict = is_stabilizing_to_fair(composed, spec, [result.recovery_edges])
     print(f"\nA box W fair-stabilizing to A : {bool(verdict)}")
 
     impl = concrete_implementation()
     assert everywhere_implements(impl, spec)
     transferred = is_stabilizing_to_fair(
-        box(impl, result.wrapper), spec, result.recovery_edges
+        box(impl, result.wrapper), spec, [result.recovery_edges]
     )
     print(f"C box W fair-stabilizing to A : {bool(transferred)}  "
           "(C never shown to the synthesizer)")

@@ -519,12 +519,14 @@ def experiment_synthesis(
             recovery_counts.append(result.recovery_count)
             composed = box(abstract, result.wrapper)
             if is_stabilizing_to_fair(
-                composed, abstract, result.recovery_edges
+                composed, abstract, [result.recovery_edges]
             ):
                 verified += 1
             concrete = random_subsystem(rng, abstract, "C")
             if is_stabilizing_to_fair(
-                box(concrete, result.wrapper), abstract, result.recovery_edges
+                box(concrete, result.wrapper),
+                abstract,
+                [result.recovery_edges],
             ):
                 transfer_verified += 1
             if result.stabilizes_unfair:

@@ -35,7 +35,7 @@ from repro.core.relations import (
     RelationReport,
     everywhere_implements,
     implements,
-    legitimate_states,
+    is_stabilizing_to,
 )
 from repro.core.system import StateLike, Transition, TransitionSystem
 from repro.core.theorems import TheoremVerdict, _details
@@ -174,19 +174,16 @@ def is_nonmasking_tolerant(
     quantifying only over fault-span states (the states faults can
     actually produce) rather than the whole space.
     """
-    span = fault_span(concrete, faults)
-    legit = legitimate_states(abstract)
-    good = frozenset(
-        (s, t)
-        for s, t in concrete.edges()
-        if s in legit and t in legit and abstract.has_transition(s, t)
-    )
     # A violating computation = a cycle of program transitions, reachable
-    # from the span without faults, containing a non-good transition.
+    # from the span without faults, containing a non-good transition.  The
+    # reachable set is closed under successors, so those are the cycles
+    # that break plain stabilization and start inside it.
+    span = fault_span(concrete, faults)
     reachable_from_span = concrete.reachable_from(span & concrete.states)
-    sub = concrete.restricted_to(reachable_from_span, name="span-closure")
     bad_cycle_edges = frozenset(
-        e for e in sub.edges_on_cycles() if e not in good
+        e
+        for e in is_stabilizing_to(concrete, abstract).witness_transitions
+        if e[0] in reachable_from_span
     )
     return RelationReport(
         "nonmasking-tolerant-to",

@@ -28,15 +28,27 @@ For transition systems these reduce to graph conditions:
   states.  A computation of C stabilizes iff it eventually takes only good
   transitions.  In a finite graph, a computation taking non-good transitions
   infinitely often must traverse some cycle containing a non-good transition;
-  conversely such a cycle yields a non-stabilizing computation.  Hence:
-  *C is stabilizing to A iff no cycle of C contains a non-good transition.*
+  conversely such a cycle yields a non-stabilizing computation.  An edge
+  lies on a cycle iff its endpoints share a strongly connected component.
+  Hence: *C is stabilizing to A iff no SCC of C holds a non-good transition
+  between two of its own states.*
+* *stabilizing under weak fairness* (UNITY's execution model, one
+  constraint per action): what a computation visits and takes infinitely
+  often is a strongly connected edge set inside one maximal SCC.  So a fair
+  violating computation exists iff some maximal SCC holds a non-good
+  transition and every action is taken on an edge inside it or disabled at
+  one of its states (DESIGN §3, decision 16).
+
+Each verdict is one SCC pass of the kernel in :mod:`repro.core.graph` over
+C's dense-id index (:attr:`TransitionSystem.graph`); the legitimate states
+come from the exploration engine (:meth:`TransitionSystem.reachable`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, replace
 
-from repro.core import graph
 from repro.core.system import StateLike, Transition, TransitionSystem
 
 
@@ -148,105 +160,103 @@ def good_transitions(
     )
 
 
+def _stabilization_report(
+    relation: str,
+    concrete: TransitionSystem,
+    abstract: TransitionSystem,
+    fair: Iterable[Iterable[Transition]],
+    reason: str,
+) -> RelationReport:
+    """Judge C's maximal SCCs (decision 16).  The witnesses are the
+    non-good edges inside each SCC that carries a violating computation
+    fair to every action in ``fair`` (no actions: every SCC that holds a
+    non-good edge)."""
+    g = concrete.graph
+    nodes, index = g.nodes, g.index
+    comp, comps = g.components()
+    legit = legitimate_states(abstract)
+
+    def bad(i: int, j: int) -> bool:
+        s, t = nodes[i], nodes[j]
+        return not (s in legit and t in legit and abstract.has_transition(s, t))
+
+    # Two passes over the cycle edges keep memory O(states): the first
+    # marks the components to judge, the second lists the witnesses.
+    holds_bad = bytearray(len(comps))
+    for i, j in g.internal_edges(comp):
+        if not holds_bad[comp[i]] and bad(i, j):
+            holds_bad[comp[i]] = 1
+
+    def edge_ids(action: Iterable[Transition]) -> Iterator[tuple[int, int]]:
+        for s, t in action:
+            if not concrete.has_transition(s, t):
+                raise ValueError(f"fair edge {(s, t)!r} is not a C-transition")
+            yield index[s], index[t]
+
+    fair_comps = g.fair_components(comp, (edge_ids(a) for a in fair))
+    witnesses = frozenset(
+        (nodes[i], nodes[j])
+        for i, j in g.internal_edges(comp)
+        if holds_bad[comp[i]] and fair_comps[comp[i]] and bad(i, j)
+    )
+    return RelationReport(
+        relation,
+        concrete.name,
+        abstract.name,
+        not witnesses,
+        reason=f"{len(witnesses)} {reason}" if witnesses else "",
+        witness_transitions=witnesses,
+    )
+
+
 def is_stabilizing_to(
     concrete: TransitionSystem, abstract: TransitionSystem
 ) -> RelationReport:
-    """Decide *C is stabilizing to A* (see module docstring for the graph
-    characterisation)."""
-    good = good_transitions(concrete, abstract)
-    bad_cycle_edges = frozenset(
-        e for e in concrete.edges_on_cycles() if e not in good
+    """Decide *C is stabilizing to A*: no cycle of C holds a non-good
+    transition (see the module docstring)."""
+    return _stabilization_report(
+        "stabilizing-to",
+        concrete,
+        abstract,
+        (),
+        "transitions on cycles of C are not legitimate A-transitions; "
+        "looping them forever yields a computation with no legitimate suffix",
     )
-    if bad_cycle_edges:
-        return RelationReport(
-            "stabilizing-to",
-            concrete.name,
-            abstract.name,
-            False,
-            reason=(
-                f"{len(bad_cycle_edges)} transitions on cycles of C are not "
-                "legitimate A-transitions; looping them forever yields a "
-                "computation with no legitimate suffix"
-            ),
-            witness_transitions=bad_cycle_edges,
-        )
-    return RelationReport("stabilizing-to", concrete.name, abstract.name, True)
 
 
 def is_stabilizing_to_fair(
     concrete: TransitionSystem,
     abstract: TransitionSystem,
-    fair_edges: frozenset[Transition],
+    fair: Iterable[Iterable[Transition]],
 ) -> RelationReport:
-    """Stabilization under weak fairness toward ``fair_edges``.
+    """Stabilization under weak fairness, one constraint per action.
 
     UNITY (the paper's specification language) executes actions under weak
-    fairness: an action continuously enabled is eventually executed.  A
-    computation is *fair* here if, whenever every state it visits from some
-    point on has an outgoing edge in ``fair_edges``, it eventually takes
-    one.  C is fair-stabilizing to A iff every fair computation has a
+    fairness: an action continuously enabled is eventually executed.
+    ``fair`` holds one set of C-transitions per weakly fair action (a
+    ``ValueError`` otherwise); an action is enabled at a state with an
+    outgoing edge in its set.  C is
+    fair-stabilizing to A iff every computation fair to every action has a
     legitimate A-suffix.
 
-    Graph criterion: a violating fair computation exists iff some cycle of
-    C contains a non-good transition, avoids ``fair_edges``, and passes
-    through at least one state with no outgoing fair edge (otherwise
-    looping it forever would be unfair).
+    Graph criterion (DESIGN §3, decision 16): a violating fair computation
+    exists iff some maximal SCC of C holds a non-good transition and every
+    action is taken on an edge inside it or disabled at one of its states.
     """
-    good = good_transitions(concrete, abstract)
-    fair_sources = {s for s, _t in fair_edges}
-    # Cycles avoiding fair edges: restrict the edge set, then find cycles.
-    # The restricted graph is not total (dead ends are fine for
-    # repro.core.graph, unlike TransitionSystem).
-    allowed = [e for e in concrete.edges() if e not in fair_edges]
-    sub_adj: dict[StateLike, set[StateLike]] = {
-        s: set() for s in concrete.transitions
-    }
-    for s, t in allowed:
-        sub_adj[s].add(t)
-    comp_of = graph.condensation_index(sub_adj)
-    # The escape state must be in the SAME SCC as the bad edge; precompute
-    # which components contain one instead of rescanning all states per
-    # candidate edge.
-    comps_with_escape = {
-        comp_of[q] for q in concrete.transitions if q not in fair_sources
-    }
-    bad_fair_cycles = frozenset(
-        (s, t)
-        for s, t in allowed
-        if comp_of[s] == comp_of[t]
-        and (s, t) not in good
-        and comp_of[s] in comps_with_escape
-    )
-    if bad_fair_cycles:
-        return RelationReport(
-            "fair-stabilizing-to",
-            concrete.name,
-            abstract.name,
-            False,
-            reason=(
-                f"{len(bad_fair_cycles)} non-legitimate transitions lie on "
-                "fair cycles (cycles that avoid the fair edges and visit a "
-                "state where no fair edge is enabled)"
-            ),
-            witness_transitions=bad_fair_cycles,
-        )
-    return RelationReport(
-        "fair-stabilizing-to", concrete.name, abstract.name, True
+    return _stabilization_report(
+        "fair-stabilizing-to",
+        concrete,
+        abstract,
+        fair,
+        "non-legitimate transitions lie in components that hold a fair "
+        "cycle (every fair action is taken inside the component or "
+        "disabled at one of its states)",
     )
 
 
 def is_self_stabilizing(system: TransitionSystem) -> RelationReport:
     """Classic self-stabilization: the system is stabilizing to itself."""
-    report = is_stabilizing_to(system, system)
-    return RelationReport(
-        "self-stabilizing",
-        system.name,
-        system.name,
-        report.holds,
-        reason=report.reason,
-        witness_states=report.witness_states,
-        witness_transitions=report.witness_transitions,
-    )
+    return replace(is_stabilizing_to(system, system), relation="self-stabilizing")
 
 
 def closure_and_convergence(
@@ -266,12 +276,7 @@ def closure_and_convergence(
     closed = all(
         system.successors(s) <= invariant for s in invariant
     )
-    outside = system.states - invariant
-    converges = True
-    if outside:
-        # A cycle entirely outside the invariant set == a non-converging
-        # run.  The induced subgraph may have dead ends; graph.has_cycle
-        # accepts that.
-        sub = {s: (system.successors(s) & outside) for s in outside}
-        converges = not graph.has_cycle(sub)
+    outside = bytearray(s not in invariant for s in system.graph.nodes)
+    # A cycle entirely outside the invariant set == a non-converging run.
+    converges = not any(system.graph.stays_forever(outside))
     return closed, converges

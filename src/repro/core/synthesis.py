@@ -10,12 +10,13 @@ legitimate states (those on computations from the initial states) and emit
 a wrapper ``W`` whose transitions
 
 * at every *illegitimate* state jump to a closest legitimate state
-  (one recovery action per bad state), and
+  (one recovery edge per bad state), and
 * at every legitimate state simply follow ``A`` (so the composed system
   gains no new behaviour inside the legitimate region).
 
-Then ``A box W`` is stabilizing to ``A`` under UNITY's weak fairness (a
-continuously enabled recovery action eventually fires; see
+Then ``A box W`` is stabilizing to ``A`` under UNITY's weak fairness (the
+recovery edges form one weakly fair action, which eventually fires if it
+stays enabled; see
 :func:`repro.core.relations.is_stabilizing_to_fair`), and the Theorem-1
 argument yields: for every everywhere-implementation ``C`` of ``A``,
 ``C box W`` is fair-stabilizing to ``A``.  When the specification has no
@@ -114,28 +115,9 @@ def synthesize_stabilizing_wrapper(
         # Keep recovery only where A itself cannot guarantee convergence:
         # states from which some A-computation avoids the legit region
         # forever (i.e. reaches a cycle outside legit).
-        outside = spec.states - legit
-        # states on or reaching a non-legit cycle:
-        cycle_edges = {
-            (s, t)
-            for (s, t) in spec.edges_on_cycles()
-            if s in outside and t in outside
-        }
-        cycle_states = {s for s, _t in cycle_edges} | {
-            t for _s, t in cycle_edges
-        }
-        # any outside state that can reach a bad cycle while staying outside
-        risky: set[StateLike] = set(cycle_states)
-        changed = True
-        while changed:
-            changed = False
-            for s in outside:
-                if s in risky:
-                    continue
-                if spec.transitions[s] & risky:
-                    risky.add(s)
-                    changed = True
-        recovery = {s: t for s, t in recovery.items() if s in risky}
+        g = spec.graph
+        risky = g.stays_forever(bytearray(s not in legit for s in g.nodes))
+        recovery = {s: t for s, t in recovery.items() if risky[g.index[s]]}
     transitions: dict[StateLike, set[StateLike]] = {}
     for s in spec.states:
         if s in recovery:
@@ -146,7 +128,7 @@ def synthesize_stabilizing_wrapper(
     recovery_edges = frozenset(recovery.items())
     composed = box(spec, wrapper)
     plain = is_stabilizing_to(composed, spec)
-    fair = is_stabilizing_to_fair(composed, spec, recovery_edges)
+    fair = is_stabilizing_to_fair(composed, spec, [recovery_edges])
     if not fair:
         raise SynthesisError(
             f"internal error: synthesized wrapper fails for {spec.name}: "

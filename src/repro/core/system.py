@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from repro.core import graph
 from repro.core.computation import Lasso
+from repro.core.graph import Graph
 
 StateLike = Hashable
 Transition = tuple[StateLike, StateLike]
@@ -132,22 +133,6 @@ class TransitionSystem:
         state, by totality)."""
         return self.reachable_from(self.initial)
 
-    def restricted_to(self, states: Iterable[StateLike], name: str | None = None) -> "TransitionSystem":
-        """The sub-system induced by ``states``.
-
-        Raises :class:`SystemError_` if the restriction is not total (some
-        kept state loses all successors).
-        """
-        keep = frozenset(states)
-        trans = {
-            s: succs & keep
-            for s, succs in self.transitions.items()
-            if s in keep
-        }
-        return TransitionSystem(
-            name or f"{self.name}|restricted", trans, self.initial & keep
-        )
-
     # -- computations -------------------------------------------------------
 
     def is_lasso(self, lasso: Lasso) -> bool:
@@ -178,20 +163,28 @@ class TransitionSystem:
 
     # -- graph analysis -----------------------------------------------------
 
+    @cached_property
+    def graph(self) -> Graph:
+        """The dense-id index every exact verdict runs on, built once."""
+        return Graph(self.transitions)
+
     def strongly_connected_components(self) -> list[frozenset[StateLike]]:
-        """Tarjan's algorithm (see :mod:`repro.core.graph`)."""
-        return graph.strongly_connected_components(self.transitions)
+        """Tarjan's algorithm (see :mod:`repro.core.graph`), components in
+        completion order."""
+        nodes = self.graph.nodes
+        _comp, comps = self.graph.components()
+        return [frozenset(nodes[i] for i in members) for members in comps]
 
     def edges_on_cycles(self) -> frozenset[Transition]:
         """The transitions that lie on some cycle.
 
         An edge lies on a cycle iff both endpoints are in the same strongly
-        connected component (self-loops trivially qualify).  Used to decide
-        stabilization: see :func:`repro.core.relations.is_stabilizing_to`.
+        connected component (self-loops trivially qualify).
         """
-        scc_of = graph.condensation_index(self.transitions)
+        nodes = self.graph.nodes
+        comp, _comps = self.graph.components()
         return frozenset(
-            (s, t) for s, t in self.edges() if scc_of[s] == scc_of[t]
+            (nodes[i], nodes[j]) for i, j in self.graph.internal_edges(comp)
         )
 
     # -- misc ---------------------------------------------------------------

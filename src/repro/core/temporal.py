@@ -15,14 +15,17 @@ Two evaluation semantics are provided:
 
 1. **Exact, over finite transition systems** (used by the core-layer theorem
    checks).  Safety operators inspect transitions.  ``leads_to`` is decided
-   by the standard graph criterion: it fails iff from some reachable
-   ``p /\\ ~q`` state there is an infinite walk avoiding ``q`` -- i.e. a
-   cycle inside the ``~q`` region reachable from that state within ``~q``.
-2. **Finite-trace, over recorded executions** (used by the runtime monitors
-   in :mod:`repro.verification.monitor`).  Safety violations are definite.
-   Liveness obligations still open at trace end are reported as *pending*
-   rather than violated, with the index where the oldest obligation arose,
-   so callers can apply a grace horizon.
+   by the standard graph criterion: it fails iff from some ``p /\\ ~q``
+   state there is an infinite walk avoiding ``q`` -- i.e. a cycle inside
+   the ``~q`` region reachable from that state within ``~q``.  One SCC pass
+   over the ``~q`` states and one backward reach from their cycles
+   (:mod:`repro.core.graph`) answer it for every state at once.
+2. **Finite-trace, over recorded executions.**  Safety violations are
+   definite.  Liveness obligations still open at trace end are reported as
+   *pending* rather than violated, with the index where the oldest
+   obligation arose, so callers can apply a grace horizon.  Only tests
+   call these and :class:`ObligationTracker` today (the runtime monitors
+   judge traces with their own checkers); ROADMAP item 4 gives them one.
 """
 
 from __future__ import annotations
@@ -58,40 +61,6 @@ def holds_invariant(system: TransitionSystem, p: Predicate) -> bool:
     return all(p(s) for s in system.initial) and holds_stable(system, p)
 
 
-def _can_avoid_forever(
-    system: TransitionSystem, start: StateLike, q: Predicate
-) -> bool:
-    """Is there an infinite walk from ``start`` never satisfying ``q``?
-
-    Equivalent to: within the subgraph of ``~q`` states, ``start`` can reach
-    a cycle.  (``start`` itself must satisfy ``~q``.)
-    """
-    if q(start):
-        return False
-    not_q = {s for s in system.states if not q(s)}
-    sub = {s: (system.successors(s) & not_q) for s in not_q}
-    # DFS with colors; a back edge within the ~q subgraph = reachable cycle.
-    color: dict[StateLike, int] = {}
-    stack: list[tuple[StateLike, list[StateLike]]] = [
-        (start, sorted(sub[start], key=repr))
-    ]
-    color[start] = 1
-    while stack:
-        node, succs = stack[-1]
-        if succs:
-            nxt = succs.pop()
-            c = color.get(nxt, 0)
-            if c == 1:
-                return True
-            if c == 0:
-                color[nxt] = 1
-                stack.append((nxt, sorted(sub[nxt], key=repr)))
-        else:
-            color[node] = 2
-            stack.pop()
-    return False
-
-
 def holds_leads_to(
     system: TransitionSystem,
     p: Predicate,
@@ -105,11 +74,10 @@ def holds_leads_to(
     states are considered computation starts; otherwise only states reachable
     from the initial states are.
     """
-    domain = system.states if from_anywhere else system.reachable()
-    for s in domain:
-        if p(s) and not q(s) and _can_avoid_forever(system, s, q):
-            return False
-    return True
+    g = system.graph
+    avoids_q = g.stays_forever(bytearray(not q(s) for s in g.nodes))
+    domain = g.nodes if from_anywhere else system.reachable()
+    return not any(avoids_q[g.index[s]] and p(s) for s in domain)
 
 
 def holds_leads_to_always(
@@ -233,8 +201,8 @@ class ObligationTracker:
     """Incremental (online) ``p |-> q`` monitor for streaming states.
 
     Feed states one at a time with :meth:`observe`; at any point,
-    :attr:`pending_since` tells whether an obligation is open and since when.
-    Used by the stabilization checker to measure convergence latency.
+    :attr:`pending_since` tells whether an obligation is open and since when,
+    and :meth:`max_latency` the longest raise-to-discharge wait.
     """
 
     p: Predicate

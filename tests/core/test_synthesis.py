@@ -48,7 +48,7 @@ class TestBasics:
         # x->x edge, so the unfair guarantee fails, the fair one holds.
         composed = box(spec_with_trap(), result.wrapper)
         assert is_stabilizing_to_fair(
-            composed, spec_with_trap(), result.recovery_edges
+            composed, spec_with_trap(), [result.recovery_edges]
         )
 
     def test_bad_cycle_needs_fairness(self):
@@ -57,7 +57,7 @@ class TestBasics:
         composed = box(spec_with_bad_cycle(), result.wrapper)
         assert not is_stabilizing_to(composed, spec_with_bad_cycle())
         assert is_stabilizing_to_fair(
-            composed, spec_with_bad_cycle(), result.recovery_edges
+            composed, spec_with_bad_cycle(), [result.recovery_edges]
         )
 
     def test_already_stabilizing_spec(self):
@@ -113,7 +113,7 @@ class TestTheorem1Transfer:
             assert everywhere_implements(concrete, abstract)
             composed = box(concrete, result.wrapper)
             assert is_stabilizing_to_fair(
-                composed, abstract, result.recovery_edges
+                composed, abstract, [result.recovery_edges]
             ), (abstract, concrete)
 
 
@@ -127,7 +127,7 @@ def test_synthesis_always_fair_stabilizes(seed, n):
     abstract = random_system(rng, n, 0.4, "A")
     result = synthesize_stabilizing_wrapper(abstract)
     composed = box(abstract, result.wrapper)
-    assert is_stabilizing_to_fair(composed, abstract, result.recovery_edges)
+    assert is_stabilizing_to_fair(composed, abstract, [result.recovery_edges])
 
 
 @settings(max_examples=60, deadline=None)

@@ -61,15 +61,6 @@ class TestReachability:
         with pytest.raises(KeyError):
             diamond().reachable_from(["ghost"])
 
-    def test_restriction(self):
-        sub = diamond().restricted_to({"b", "d"})
-        assert sub.states == {"b", "d"}
-        assert sub.initial == frozenset()
-
-    def test_restriction_must_stay_total(self):
-        with pytest.raises(SystemError_):
-            # 'a' keeps no successor within {'a'}
-            diamond().restricted_to({"a"})
 
 
 class TestComputations:
