@@ -15,23 +15,31 @@ streams instead:
   ``(src_sid, dst_sid, content_oid)`` per channel; renaming a candidate
   is an integer relabel through one image per permutation, ``oid ->
   (renamed oid, its order key)``, filled on first use;
-* **candidates are compared lazily, slot by slot** -- the pid multiset
-  (and hence the sorted pid/channel-key skeleton) is invariant under the
-  group, so candidates differ only in which renamed value sits in which
-  slot.  Each permutation's candidate is walked in slot order (process
-  slots, then channel slots) against the best so far and dropped at the
-  first slot that differs -- slot 0 for most -- so a value is renamed
-  only for a slot that is actually compared; equal slots are the *same*
-  key object, an identity check.  The best is replaced only by a
-  strictly smaller candidate, in group order, exactly as the reference
-  loop does;
+* **slot 0 is settled from a per-valuation lead memo** -- the pid
+  multiset (and hence the sorted pid/channel-key skeleton) is invariant
+  under the group, so candidates differ only in which renamed value sits
+  in which slot.  Slot 0 is process ``p0``'s; under a permutation it
+  holds the renamed valuation of the process that permutation moves to
+  ``p0``.  So the least slot-0 key over the permutations that move
+  process slot ``q`` there depends only on ``(q, vars_oid)``, and is
+  memoised once with the permutations attaining it: a state's least
+  slot 0 costs one lookup per process;
+* **only the permutations tied at slot 0 are refined** -- slot by slot
+  (the other process slots, then the channel slots), each slot keeping
+  the survivors whose key is least, until one is left or the slots run
+  out.  Equal slots are usually the *same* key object, an identity
+  check.  Of the permutations tied to the end, the identity wins if it
+  is one of them, else the first in group order -- the reference loop's
+  rule, which replaces its best only by a strictly smaller candidate;
 * **sub-values are hash-consed, so each is renamed once per
   permutation** -- :class:`_ValueTable` gives every distinct sub-value a
   small int carrying its Python value, its ``order_key`` and whether a
   rename must re-sort it, and memoises the renaming action
   (:func:`~repro.explore.canon.rename_value`) per permutation on those
   ints: one step changes a variable or two, so renaming the new
-  valuation re-does only those and re-assembles the top level;
+  valuation re-does only those and re-assembles the top level.  Each
+  renamed node is interned in the codec once: interning re-hashes the
+  whole nested value;
 * **an orbit-representative cache keyed on the packed blob** -- the
   engine examines every successor edge including duplicates (dedup hit
   rates of 50-80% are typical), and repeated snapshots canonicalize
@@ -196,11 +204,21 @@ class PackedGlobalCanonicalizer:
         self._values = _ValueTable(mappings)
         #: vars/content oid -> the value table's node of the codec's value
         self._node_of: dict[int, int] = {}
+        #: value-table node -> the codec oid of its value (the inverse of
+        #: ``_node_of``, plus every renamed node): one intern per node
+        self._oid_of: dict[int, int] = {}
         #: per permutation, the identity last: vars/content oid ->
         #: (renamed oid, its order key), filled on first use
         self._images: list[dict[int, tuple[int, tuple]]] = [
             {} for _ in range(len(mappings) + 1)
         ]
+        #: per origin process slot q: vars oid -> (the least slot-0 key
+        #: over the permutations that move q to slot 0, those attaining
+        #: it), filled on first use; the lists are never mutated
+        self._lead: list[dict[int, tuple[tuple, list[int]]]] = []
+        #: origin process slot q -> the permutations (identity included)
+        #: whose candidate slot 0 holds q's renamed value
+        self._by_lead: list[list[int]] = []
         # Slot geometry, derived lazily from the first state seen: a
         # slot is a process (in pid order), then a channel (in key order).
         self._nproc = 0
@@ -249,6 +267,10 @@ class PackedGlobalCanonicalizer:
                     )
                 src[slot_of[renamed]] = slot
             self._src.append(src)
+        self._by_lead = [[] for _ in pids]
+        for perm, src in enumerate(self._src):
+            self._by_lead[src[0]].append(perm)
+        self._lead = [{} for _ in pids]
         # The constant part of every snapshot's stream: later snapshots
         # are verified against it, winning candidates assembled over it.
         intern = self.codec.strings.intern
@@ -279,16 +301,45 @@ class PackedGlobalCanonicalizer:
     def _rename(self, perm: int, oid: int) -> tuple[int, tuple]:
         """Fill ``_images[perm][oid]``: the first time a slot holding
         ``oid`` is compared under ``perm``."""
-        values, others = self._values, self.codec.others
+        values, oid_of = self._values, self._oid_of
         node = self._node_of.get(oid)
         if node is None:
-            node = self._node_of[oid] = values.node(others.value(oid))
+            value = self.codec.others.value(oid)
+            node = self._node_of[oid] = values.node(value)
+            oid_of[node] = oid
         renamed = oid
         if perm < len(self.mappings):
             node = values.rename(perm, node)
-            renamed = others.intern(values.value[node])
+            renamed = oid_of.get(node)
+            if renamed is None:
+                # Interning re-hashes the whole nested value: once per
+                # renamed node, not once per (permutation, oid).
+                renamed = oid_of[node] = self.codec.others.intern(
+                    values.value[node]
+                )
         pair = self._images[perm][oid] = (renamed, values.key[node])
         return pair
+
+    def _tied(
+        self, perms: list[int], slot: int, oids: list[int]
+    ) -> tuple[tuple, list[int]]:
+        """The least key the candidates of ``perms`` put in ``slot``, and
+        the permutations that put it there, in ``perms`` order.  A key
+        ties the least if it is the same object or not greater
+        (address-masked ``TAG_OTHER`` keys are equal, not identical)."""
+        images, srcs, rename = self._images, self._src, self._rename
+        best: Any = None
+        tied: list[int] = []
+        for perm in perms:
+            oid = oids[srcs[perm][slot]]
+            key = (images[perm].get(oid) or rename(perm, oid))[1]
+            if key is best:  # one node, one key object
+                tied.append(perm)
+            elif best is None or key < best:
+                best, tied = key, [perm]
+            elif not best < key:
+                tied.append(perm)
+        return best, tied
 
     # -- canonicalization --------------------------------------------------
 
@@ -336,41 +387,37 @@ class PackedGlobalCanonicalizer:
         return result
 
     def _least(self, oids: list[int]) -> int:
-        """The permutation whose candidate is least (the identity --
-        ``len(mappings)`` -- unless one is strictly smaller; the first
-        in group order among equals), for slot values ``oids``.
+        """The permutation whose candidate is least for slot values
+        ``oids``: the identity -- ``len(mappings)`` -- if it is among
+        the least, else the first of them in group order.
 
-        A candidate is never built: its slots are looked up one by one
-        and it is dropped at the first that differs from the best's.
+        The candidates' order is lexicographic over their slots, so the
+        least candidates are those with the least slot 0 that are least
+        among themselves on the remaining slots.  Slot 0 takes one lead
+        memo lookup per process slot; only the permutations tied there
+        are refined, slot by slot, until one is left or the slots run
+        out.  Ties are :meth:`_tied`'s, at the lead as in the refinement.
+        No candidate is ever built.
         """
-        images, srcs, rename = self._images, self._src, self._rename
-        best = len(self.mappings)
-        best_image, best_src = images[best], srcs[best]
-        unknown = [None] * len(oids)
-        best_keys: list[tuple | None] = unknown[:]  # None: not compared yet
-        for perm in range(best):
-            image = images[perm]
-            for slot, origin in enumerate(srcs[perm]):
-                oid = oids[origin]
-                key = (image.get(oid) or rename(perm, oid))[1]
-                best_key = best_keys[slot]
-                if best_key is None:
-                    oid = oids[best_src[slot]]
-                    best_key = best_keys[slot] = (
-                        best_image.get(oid) or rename(best, oid)
-                    )[1]
-                if key is best_key:  # one node, one key object
-                    continue
-                if best_key < key:
-                    break
-                if key < best_key:
-                    # Equal so far, smaller here: the new best, whose
-                    # later slots are looked up when next compared.
-                    best, best_image, best_src = perm, image, srcs[perm]
-                    best_keys[slot:] = unknown[slot:]
-                    best_keys[slot] = key
-                    break
-        return best
+        leads, by_lead = self._lead, self._by_lead
+        best: Any = None
+        survivors: list[int] = []
+        for q in range(self._nproc):
+            oid = oids[q]
+            lead = leads[q].get(oid)
+            if lead is None:
+                lead = leads[q][oid] = self._tied(by_lead[q], 0, oids)
+            key, perms = lead
+            if best is None or (key is not best and key < best):
+                best, survivors = key, perms
+            elif key is best or not best < key:
+                survivors = survivors + perms
+        for slot in range(1, len(oids)):
+            if len(survivors) == 1:
+                break
+            survivors = self._tied(survivors, slot, oids)[1]
+        identity = len(self.mappings)
+        return identity if identity in survivors else min(survivors)
 
     def decode(self, blob: bytes) -> GlobalState:
         return self.codec.decode(blob)

@@ -28,8 +28,9 @@ canonical order can never drift apart (see
 from __future__ import annotations
 
 import re
+import struct
 from array import array
-from collections.abc import Hashable, Iterator
+from collections.abc import Callable, Hashable, Iterator
 from typing import Any
 
 from repro.clocks.timestamps import Timestamp
@@ -67,6 +68,9 @@ _TAG_OTHER = TAG_OTHER
 #: timers, and payload integers fit without escaping.
 _TYPECODE = "q"
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+#: stream length -> ``Struct("=<length>q").pack``: native byte order and
+#: 8-byte items, byte for byte what ``array(_TYPECODE).tobytes()`` writes
+_PACKERS: dict[int, Callable[..., bytes]] = {}
 
 #: CPython's default ``object.__repr__`` embeds the object's memory
 #: address, which varies run to run; mask it so the :func:`order_key`
@@ -291,8 +295,15 @@ class GlobalStateCodec(StateCodec):
 
     @staticmethod
     def pack(tokens: list[int]) -> bytes:
-        """A token stream (``encode_tokens`` layout) as a storable blob."""
-        return array(_TYPECODE, tokens).tobytes()
+        """A token stream (``encode_tokens`` layout) as a storable blob:
+        the bytes of ``array('q', tokens)``, through a compiled
+        :class:`struct.Struct` per stream length."""
+        packer = _PACKERS.get(len(tokens))
+        if packer is None:
+            packer = _PACKERS[len(tokens)] = struct.Struct(
+                f"={len(tokens)}{_TYPECODE}"
+            ).pack
+        return packer(*tokens)
 
     def encode(self, state: GlobalState) -> bytes:  # type: ignore[override]
         return self.pack(self.encode_tokens(state))

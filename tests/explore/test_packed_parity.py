@@ -19,27 +19,36 @@ four algorithms at n = 2 and 3, and RA at n = 4 under the full group:
   what a from-scratch encoding yields, on every explored edge;
 * the value table behind the renames is type-exact (``True`` is not
   ``1``), whatever it saw first;
+* the pruned least-member search (lead memo, then refinement of the
+  tied permutations) picks the permutation the full lazy scan it
+  replaced picks -- that scan lives on here as an oracle -- on
+  Hypothesis-drawn reachable states at n = 3-5 and on hand-built ties;
 * the local-space :class:`~repro.explore.packed.CachedCanonicalizer`
   agrees with :func:`~repro.explore.canon.canonical_local`.
 """
 
 import inspect
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.explore import explore
 from repro.explore.canon import (
     _global_order_key,
     canonical_global,
     canonical_local,
+    full_symmetry,
     orbit_of,
     rename_global_state,
     rename_value,
 )
 from repro.explore.packed import PackedGlobalCanonicalizer, _ValueTable
 from repro.explore.spaces import GlobalSimulatorSpace, LocalProcessSpace
-from repro.explore.store import order_key
+from repro.explore.store import GlobalStateCodec, order_key
+from repro.runtime.trace import GlobalState
 from repro.tme import ClientConfig, tme_programs
 
 CLIENT = ClientConfig(think_delay=1, eat_delay=1)
@@ -292,3 +301,179 @@ def test_local_cached_canonicalizer_matches_reference(n):
     for snapshot in snapshots:
         blob, _ = cached.canonicalize(snapshot)
         assert cached.decode(blob) == canonical_local(snapshot, group)
+
+
+# -- the pruned search against the lazy scan it replaced --------------------
+
+
+def _lazy_scan_least(canon, oids):
+    """The least-candidate search the lead memo replaced, kept as an
+    oracle: every permutation's candidate is walked slot by slot against
+    the best so far and dropped at the first slot that differs; the best
+    is replaced only by a strictly smaller candidate, so the identity
+    (``len(mappings)``) wins a tie, else the first in group order."""
+    images, srcs, rename = canon._images, canon._src, canon._rename
+    best = len(canon.mappings)
+    best_image, best_src = images[best], srcs[best]
+    unknown = [None] * len(oids)
+    best_keys = unknown[:]  # None: not compared yet
+    for perm in range(best):
+        image = images[perm]
+        for slot, origin in enumerate(srcs[perm]):
+            oid = oids[origin]
+            key = (image.get(oid) or rename(perm, oid))[1]
+            best_key = best_keys[slot]
+            if best_key is None:
+                oid = oids[best_src[slot]]
+                best_key = best_keys[slot] = (
+                    best_image.get(oid) or rename(best, oid)
+                )[1]
+            if key is best_key:
+                continue
+            if best_key < key:
+                break
+            if key < best_key:
+                best, best_image, best_src = perm, image, srcs[perm]
+                best_keys[slot:] = unknown[slot:]
+                best_keys[slot] = key
+                break
+    return best
+
+
+def _oids(canon, state):
+    """The slot values ``canonicalize`` hands ``_least``: process vars
+    oids in pid order, then channel content oids in key order."""
+    tokens = canon.codec.encode_tokens(state)
+    base = 2 * tokens[0] + 2
+    return tokens[2:base:2] + tokens[base + 2 :: 3]
+
+
+def _scan_canonicalizer(canon):
+    """A fresh canonicalizer over ``canon``'s codec and group whose
+    least-candidate search is the lazy scan."""
+    scan = PackedGlobalCanonicalizer(canon.codec, canon._pids, canon.mappings)
+    scan._least = lambda oids: _lazy_scan_least(scan, oids)
+    return scan
+
+
+def _assert_same_choice(canon, state):
+    """The pruned search and the lazy scan pick one permutation, and the
+    two canonicalizers answer with one blob and one ``rewritten``."""
+    scan = _scan_canonicalizer(canon)
+    answer = canon.canonicalize(state)
+    assert scan.canonicalize(state) == answer
+    oids = _oids(canon, state)
+    assert canon._least(oids) == _lazy_scan_least(canon, oids)
+    return answer
+
+
+SEARCH_CONFIGS = [
+    (algo, n, "full") for algo in ("ra", "ra-count", "lamport") for n in (3, 4, 5)
+] + [("token", n, "ring") for n in (3, 4, 5)]
+
+
+@lru_cache(maxsize=None)
+def _search_space(algo, n, symmetry):
+    return _space(algo, n, symmetry)
+
+
+@pytest.mark.parametrize("algo,n,symmetry", SEARCH_CONFIGS)
+@settings(deadline=None, max_examples=15)
+@given(choices=st.lists(st.integers(0, 2**16), max_size=14))
+def test_pruned_search_picks_the_lazy_scans_permutation(
+    algo, n, symmetry, choices
+):
+    # One space per configuration, shared by the examples: its
+    # canonicalizer's memos warm up across them, as in a real run.
+    space = _search_space(algo, n, symmetry)
+    node = next(iter(space.roots()))
+    for choice in choices:
+        succs = list(space.successors(node))
+        if not succs:
+            break
+        node = succs[choice % len(succs)]
+    state = space.key(node)
+    blob, rewritten = _assert_same_choice(space.packed_canon, state)
+    reference = canonical_global(state, space.symmetry_group)
+    assert space.packed_canon.decode(blob) == reference
+    assert rewritten == (reference != state)
+
+
+_PIDS = ("p0", "p1", "p2")
+_LINKS = tuple((src, dst) for src in _PIDS for dst in _PIDS if src != dst)
+
+
+def _hand_built(values, contents=None):
+    """A three-process snapshot with full channels: ``values[i]`` is
+    ``p<i>``'s valuation, ``contents`` maps a link to its messages."""
+    contents = contents or {}
+    return GlobalState(
+        tuple(zip(_PIDS, values)),
+        tuple((link, contents.get(link, ())) for link in _LINKS),
+    )
+
+
+def _hand_canon():
+    return PackedGlobalCanonicalizer(
+        GlobalStateCodec(), _PIDS, full_symmetry(_PIDS)
+    )
+
+
+def _lead_origins(canon, oids):
+    """The process slots whose lead memo entry holds the least key."""
+    leads = [canon._lead[q][oids[q]][0] for q in range(len(_PIDS))]
+    least = min(leads)
+    return {q for q, key in enumerate(leads) if not least < key}
+
+
+def test_two_origins_tie_at_the_lead_and_a_channel_decides():
+    # p1 and p2 hold the same least valuation, so the permutations that
+    # move either to slot 0 survive the lead; only p2 -> p0 sees its
+    # message land on the least channel slot.
+    state = _hand_built(
+        [(("x", 9),), (("x", 1),), (("x", 1),)],
+        {("p2", "p1"): (("m", 5),), ("p1", "p2"): (("m", 7),)},
+    )
+    canon = _hand_canon()
+    blob, rewritten = _assert_same_choice(canon, state)
+    oids = _oids(canon, state)
+    assert _lead_origins(canon, oids) == {1, 2}
+    assert canon._src[canon._least(oids)][0] == 2
+    assert rewritten
+    assert canon.decode(blob) == canonical_global(state, canon.mappings)
+    assert canon.decode(blob) == _least_orbit_member(state, canon.mappings)
+
+
+def test_identity_tied_among_the_survivors_is_kept():
+    # Swapping p0 and p1 gives this very state back: both permutations
+    # survive every slot, and the identity wins the tie.
+    state = _hand_built([(("x", 1),), (("x", 1),), (("x", 9),)])
+    canon = _hand_canon()
+    blob, rewritten = _assert_same_choice(canon, state)
+    assert _lead_origins(canon, _oids(canon, state)) == {0, 1}
+    assert canon._least(_oids(canon, state)) == len(canon.mappings)
+    assert (blob, rewritten) == (canon.codec.encode(state), False)
+
+
+class _Opaque:
+    """A value whose order key is its address-masked repr: two of them
+    have equal keys that are not one object."""
+
+    __slots__ = ()
+
+
+def test_equal_but_distinct_keys_tie_like_the_reference():
+    a, b = _Opaque(), _Opaque()
+    assert order_key(a) == order_key(b) and order_key(a) is not order_key(b)
+    # p2's valuation leads; p0's and p1's keys are equal but belong to
+    # two nodes, so the two permutations that move p2 to slot 0 tie to
+    # the end and the first in group order wins -- a real choice, since
+    # the two candidates differ in which object sits where.
+    state = _hand_built([(a,), (b,), (0,)])
+    canon = _hand_canon()
+    blob, rewritten = _assert_same_choice(canon, state)
+    assert rewritten
+    assert canon.decode(blob) == canonical_global(state, canon.mappings)
+    # Every slot ties when every valuation is opaque: the identity stays.
+    alike = _hand_built([(a,), (b,), (_Opaque(),)])
+    assert _assert_same_choice(_hand_canon(), alike)[1] is False

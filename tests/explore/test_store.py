@@ -1,5 +1,9 @@
 """Tests for the interned packed state store and its codecs."""
 
+import random
+import struct
+from array import array
+
 import pytest
 
 from repro.clocks.timestamps import Timestamp
@@ -104,6 +108,25 @@ class TestGlobalStateCodec:
         with pytest.raises(ValueError, match="partitioned"):
             InternedStateStore(codec).add(cut)
         assert codec.pack(codec.encode_tokens(state)) == codec.encode(state)
+
+    def test_pack_writes_the_bytes_of_an_int64_array(self):
+        # ``pack`` goes through a compiled Struct per stream length; the
+        # blob must stay byte for byte what ``array('q').tobytes()`` gave.
+        low, high = -(2**63), 2**63 - 1
+        rng = random.Random("pack")
+        for length in range(1, 41):
+            streams = [
+                [rng.randrange(low, high + 1) for _ in range(length)],
+                [rng.randrange(0, 1 << 12) for _ in range(length)],
+                [low if i % 2 else high for i in range(length)],
+            ]
+            for tokens in streams:
+                packed = GlobalStateCodec.pack(tokens)
+                assert packed == array("q", tokens).tobytes()
+                assert len(packed) == 8 * length
+        for bad in (2**63, -(2**63) - 1):
+            with pytest.raises(struct.error):
+                GlobalStateCodec.pack([0, bad, 0])
 
     def test_subtree_interning_is_compact(self):
         # Whole per-process valuations and channel contents intern as one
